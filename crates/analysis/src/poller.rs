@@ -826,9 +826,10 @@ impl<S: AsyncJobSource> Observer<S> {
                 // virtual clock and jitter stream as `run_shard`: the
                 // only difference is that the wire wait between request
                 // and reply suspends the task instead of the thread.
+                // Like `retry()`, the stream is derived at the first
+                // backoff, never on a first-try success.
                 let mut clock = VirtualClock::new();
-                let mut rng = DetRng::seed(policy.jitter_seed)
-                    .derive(&format!("poll.jitter.{endpoint}.{now}"));
+                let mut rng: Option<DetRng> = None;
                 let max_attempts = retry_policy.max_attempts.max(1);
                 let mut attempts = 0u32;
                 let outcome = loop {
@@ -858,7 +859,11 @@ impl<S: AsyncJobSource> Observer<S> {
                     if error.error_class() == ErrorClass::Permanent || attempts >= max_attempts {
                         break Err(error);
                     }
-                    let backoff = retry_policy.backoff_ms(attempts, &mut rng);
+                    let rng = rng.get_or_insert_with(|| {
+                        DetRng::seed(policy.jitter_seed)
+                            .derive(&format!("poll.jitter.{endpoint}.{now}"))
+                    });
+                    let backoff = retry_policy.backoff_ms(attempts, rng);
                     if let Some(deadline) = retry_policy.deadline_ms {
                         if clock.now_ms().saturating_add(backoff) > deadline {
                             break Err(error);
@@ -980,11 +985,13 @@ impl<S: JobSource> ShardedTask for PollTask<'_, S> {
                 None => self.policy.retry.clone(),
             };
             let mut clock = VirtualClock::new();
-            let mut rng = DetRng::seed(self.policy.jitter_seed)
-                .derive(&format!("poll.jitter.{endpoint}.{}", self.now));
+            let jitter = || {
+                DetRng::seed(self.policy.jitter_seed)
+                    .derive(&format!("poll.jitter.{endpoint}.{}", self.now))
+            };
             let mut reconnects = 0u64;
             let mut sheds = 0u64;
-            let outcome = retry(&retry_policy, &mut clock, &mut rng, |attempt| {
+            let outcome = retry(&retry_policy, &mut clock, jitter, |attempt| {
                 let r = self.source.fetch_job(endpoint, self.now, attempt);
                 // Reconnect eagerly on every teardown, even a final one,
                 // so the next sweep starts on a fresh connection.

@@ -8,6 +8,15 @@
 //! tree. The root commits to the Coinbase transaction as leaf 0 — the fact
 //! §4.2's attribution hinges on ("we could never by accident see a Merkle
 //! tree root of another miner in the PoW input").
+//!
+//! Because leaf 0 always passes through the overhang step untouched, the
+//! root is a fold of the Coinbase hash through one sibling per level of
+//! the perfect tree: [`coinbase_branch`] computes those siblings from the
+//! other transactions once, and [`root_from_branch`] folds any Coinbase
+//! through them — the branch Stratum pools hand to miners. A pool that
+//! serves many templates over one mempool (one per backend and template
+//! version) thus pays for the mempool's hashes once per tip, and
+//! `⌊log2 n⌋` pair hashes per template instead of `n − 1`.
 
 use minedig_primitives::Hash32;
 
@@ -75,6 +84,57 @@ pub fn block_tree_hash(coinbase: Hash32, tx_hashes: &[Hash32]) -> Hash32 {
     leaves.push(coinbase);
     leaves.extend_from_slice(tx_hashes);
     tree_hash(&leaves)
+}
+
+/// The Merkle branch of the Coinbase (leaf 0) in the tree over a
+/// Coinbase followed by `tx_hashes`: the sibling hash at each level,
+/// bottom up. [`root_from_branch`] folds any Coinbase hash through it to
+/// the root [`block_tree_hash`] would compute.
+///
+/// ```
+/// use minedig_chain::merkle::{block_tree_hash, coinbase_branch, root_from_branch};
+/// use minedig_primitives::Hash32;
+///
+/// let txs: Vec<Hash32> = (0u8..12).map(|i| Hash32::keccak(&[i])).collect();
+/// let branch = coinbase_branch(&txs);
+/// assert_eq!(branch.len(), 3); // 13 leaves: a perfect tree of 8 after the overhang
+/// let coinbase = Hash32::keccak(b"coinbase");
+/// assert_eq!(root_from_branch(coinbase, &branch), block_tree_hash(coinbase, &txs));
+/// ```
+pub fn coinbase_branch(tx_hashes: &[Hash32]) -> Vec<Hash32> {
+    let n = 1 + tx_hashes.len();
+    // Largest power of two <= n; the first 2*cnt - n leaves (the
+    // Coinbase among them) pass through, the rest pair up.
+    let cnt = 1usize << n.ilog2();
+    let untouched = 2 * cnt - n;
+    // `level[0]` is the Coinbase's slot, unknown here; every other node
+    // of each level is computed, and `level[1]` is the sibling.
+    let mut level: Vec<Hash32> = Vec::with_capacity(cnt);
+    level.push(Hash32::ZERO);
+    level.extend_from_slice(&tx_hashes[..untouched - 1]);
+    for pair in tx_hashes[untouched - 1..].chunks_exact(2) {
+        level.push(hash_pair(&pair[0], &pair[1]));
+    }
+    debug_assert_eq!(level.len(), cnt);
+    let mut branch = Vec::with_capacity(cnt.trailing_zeros() as usize);
+    while level.len() > 1 {
+        branch.push(level[1]);
+        let mut next = Vec::with_capacity(level.len() / 2);
+        next.push(Hash32::ZERO);
+        for pair in level[2..].chunks_exact(2) {
+            next.push(hash_pair(&pair[0], &pair[1]));
+        }
+        level = next;
+    }
+    branch
+}
+
+/// Folds a Coinbase hash through its [`coinbase_branch`] to the tree
+/// root: one pair hash per branch entry.
+pub fn root_from_branch(coinbase: Hash32, branch: &[Hash32]) -> Hash32 {
+    branch
+        .iter()
+        .fold(coinbase, |node, sibling| hash_pair(&node, sibling))
 }
 
 #[cfg(test)]
@@ -158,6 +218,29 @@ mod tests {
         assert_eq!(block_tree_hash(cb, &txs), tree_hash(&all));
     }
 
+    #[test]
+    fn branch_root_equals_tree_hash_at_the_edges() {
+        // n counts the Coinbase: 1 and 2 leaves, every power of two and
+        // its neighbours up to 257 leaves, where the overhang changes
+        // shape.
+        let mut sizes = vec![1usize, 2];
+        for k in 1..=8 {
+            let p = 1usize << k;
+            sizes.extend([p - 1, p, p + 1]);
+        }
+        for n in sizes {
+            let txs = leaves(n - 1);
+            let cb = leaf(1_000_000 + n as u64);
+            let branch = coinbase_branch(&txs);
+            assert_eq!(branch.len(), n.ilog2() as usize, "n={n}");
+            assert_eq!(
+                root_from_branch(cb, &branch),
+                block_tree_hash(cb, &txs),
+                "n={n}"
+            );
+        }
+    }
+
     proptest! {
         #[test]
         fn coinbase_change_always_changes_root(n in 1usize..40, salt in any::<u64>()) {
@@ -166,6 +249,16 @@ mod tests {
             ls[0] = leaf(salt.wrapping_add(1_000_000));
             prop_assume!(ls[0] != leaf(0));
             prop_assert_ne!(tree_hash(&ls), root);
+        }
+
+        #[test]
+        fn branch_root_equals_tree_hash(n in 0usize..=300, salt in any::<u64>()) {
+            let txs: Vec<Hash32> = (0..n as u64).map(|i| leaf(i.wrapping_add(salt))).collect();
+            let cb = leaf(salt ^ 0xC0FF_EE00);
+            prop_assert_eq!(
+                root_from_branch(cb, &coinbase_branch(&txs)),
+                block_tree_hash(cb, &txs)
+            );
         }
 
         #[test]

@@ -13,7 +13,7 @@ use crate::obfuscation;
 use crate::protocol::{ClientMsg, Job, ServerMsg, Token};
 use minedig_chain::blob::HashingBlob;
 use minedig_chain::block::Block;
-use minedig_chain::merkle::block_tree_hash;
+use minedig_chain::merkle::{coinbase_branch, root_from_branch};
 use minedig_chain::netsim::{TemplateSource, TipInfo};
 use minedig_chain::tx::MinerTag;
 use minedig_net::transport::{Transport, TransportError};
@@ -22,7 +22,7 @@ use minedig_primitives::{Admission, AdmitDecision, DetRng, Hash32};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Pool configuration. Defaults model Coinhive as measured by the paper.
 #[derive(Clone, Debug)]
@@ -83,6 +83,12 @@ struct TipState {
     tip: Option<TipInfo>,
     seen_at: u64,
     tx_hashes: Vec<Hash32>,
+    /// Merkle branch of the Coinbase over `tx_hashes`, built once per
+    /// tip by its first template: every (backend, version) template
+    /// shares it and differs only in the Coinbase folded through it.
+    /// Built lazily, so announcing a tip costs no tree hashing until a
+    /// template is served from it (none is during an outage).
+    branch: OnceLock<Vec<Hash32>>,
 }
 
 /// One backend plus its own blob cache — the per-backend lock that lets
@@ -180,6 +186,7 @@ impl Pool {
                     tip: None,
                     seen_at: 0,
                     tx_hashes: Vec::new(),
+                    branch: OnceLock::new(),
                 })),
                 backends,
                 mining: Mutex::new(MiningState {
@@ -238,6 +245,7 @@ impl Pool {
             tip: Some(tip.clone()),
             seen_at: tip.prev_timestamp,
             tx_hashes: tip.mempool.iter().map(|t| t.hash()).collect(),
+            branch: OnceLock::new(),
         });
         drop(guard);
         // Backend blob caches invalidate lazily via the epoch; issued
@@ -245,10 +253,15 @@ impl Pool {
         self.shared.mining.lock().jobs.clear();
     }
 
+    /// Template version served at `now`: one more per elapsed refresh
+    /// interval, clamped to the last version. The clamp happens in `u64`,
+    /// so a far-future `now` cannot wrap back to an early version, and a
+    /// `max_templates_per_height` of 0 serves a single version like 1.
     fn version_at(config: &PoolConfig, tip: &TipState, now: u64) -> u32 {
         let elapsed = now.saturating_sub(tip.seen_at);
         let v = elapsed / config.template_refresh_secs.max(1);
-        (v as u32).min(config.max_templates_per_height - 1)
+        let last = u64::from(config.max_templates_per_height.max(1) - 1);
+        v.min(last) as u32
     }
 
     fn blob_for(shared: &Shared, tip: &TipState, backend_idx: u16, version: u32) -> Vec<u8> {
@@ -263,19 +276,15 @@ impl Pool {
         }
         let info = tip.tip.as_ref().expect("blob_for without tip");
         let timestamp = tip.seen_at + version as u64 * shared.config.template_refresh_secs;
-        let coinbase_hash = slot
-            .backend
-            .template(info, version, timestamp)
-            .miner_tx
-            .hash();
-        let root = block_tree_hash(coinbase_hash, &tip.tx_hashes);
+        let coinbase_hash = slot.backend.coinbase(info, version).hash();
+        let branch = tip.branch.get_or_init(|| coinbase_branch(&tip.tx_hashes));
         let blob = HashingBlob {
             major_version: 7,
             minor_version: 7,
             timestamp,
             prev_id: info.prev_id,
             nonce: 0,
-            merkle_root: root,
+            merkle_root: root_from_branch(coinbase_hash, branch),
             tx_count: 1 + tip.tx_hashes.len() as u64,
         }
         .to_bytes();
@@ -629,6 +638,86 @@ mod tests {
             blobs.insert(job.blob_hex);
         }
         assert_eq!(blobs.len(), 8);
+    }
+
+    #[test]
+    fn peeked_roots_match_every_backend_template() {
+        // The identity attribution relies on: the root in every served
+        // blob is the root of the block that backend would mine for that
+        // version, for mempools around the tree's shape changes.
+        let config = PoolConfig::default();
+        for mempool_len in [0usize, 1, 2, 3, 6, 7, 12, 15, 16] {
+            let p = pool();
+            let info = TipInfo {
+                mempool: (0..mempool_len as u64)
+                    .map(|i| Transaction::transfer(Hash32::keccak(&i.to_le_bytes())))
+                    .collect(),
+                ..tip(4, 1_000)
+            };
+            p.announce_tip(&info);
+            for index in 0..config.backends {
+                let backend = Backend {
+                    index,
+                    pool_tag: p.tag(),
+                    seed: config.seed,
+                };
+                for version in 0..config.max_templates_per_height {
+                    let at = 1_000 + u64::from(version) * config.template_refresh_secs;
+                    let endpoint = usize::from(index * config.endpoints_per_backend);
+                    let mut blob = p.peek_job(endpoint, at).unwrap().blob_bytes().unwrap();
+                    obfuscation::xor_blob(&mut blob);
+                    let served = HashingBlob::parse(&blob).unwrap();
+                    let block = backend.template(&info, version, at);
+                    assert_eq!(
+                        served.merkle_root,
+                        block.merkle_root(),
+                        "mempool {mempool_len}, backend {index}, version {version}"
+                    );
+                    assert_eq!(served.tx_count, 1 + mempool_len as u64);
+                    assert_eq!(served.timestamp, block.header.timestamp);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn far_future_peek_serves_the_last_version() {
+        // 2^32 refresh intervals after the tip: the version count must
+        // clamp to the last version, not wrap to version 0.
+        let p = pool();
+        p.announce_tip(&tip(3, 40));
+        let (mut client, mut server) = channel_pair();
+        let pool_clone = p.clone();
+        let handle = std::thread::spawn(move || {
+            pool_clone.serve(&mut server, 0, || 60);
+        });
+        let r = drive_session(
+            &mut client,
+            &ClientMsg::Peek {
+                endpoint: 0,
+                now: 40 + 15 * (1u64 << 32),
+            },
+        )
+        .unwrap();
+        drop(client);
+        handle.join().unwrap();
+        assert_eq!(r, ServerMsg::Job(p.peek_job(0, 40 + 15 * 7).unwrap()));
+        assert_ne!(r, ServerMsg::Job(p.peek_job(0, 40).unwrap()));
+    }
+
+    #[test]
+    fn zero_max_templates_serves_a_single_version() {
+        let p = Pool::new(PoolConfig {
+            max_templates_per_height: 0,
+            ..PoolConfig::default()
+        });
+        p.announce_tip(&tip(3, 40));
+        let first = p.peek_job(0, 40).unwrap();
+        for s in [1, 15, 150, 1_500, u64::MAX - 40] {
+            assert_eq!(p.peek_job(0, 40 + s).unwrap(), first, "now = 40 + {s}");
+        }
+        let block = p.win_block(40 + 150);
+        assert_eq!(block.header.timestamp, 40);
     }
 
     #[test]

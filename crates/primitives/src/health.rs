@@ -506,6 +506,13 @@ pub struct EndpointHealth {
     trackers: Vec<LatencyTracker>,
     hedges: u64,
     hedge_wins: u64,
+    /// Seeded per-endpoint constant latency: slow endpoints stay slow,
+    /// which is what gives the slowest-decile hedge set its stability.
+    base_latency: Vec<u64>,
+    /// Parent of the per-`(endpoint, now)` service-latency streams.
+    service_stream: DetRng,
+    /// Parent of the per-`(endpoint, now)` hedge-latency streams.
+    hedge_stream: DetRng,
 }
 
 impl EndpointHealth {
@@ -517,12 +524,20 @@ impl EndpointHealth {
         let trackers = (0..endpoints)
             .map(|_| LatencyTracker::new(config.adaptive.clone()))
             .collect();
+        let span = config.adaptive.synthetic_span_ms.max(1);
+        let base_stream = DetRng::seed(config.seed).derive("lat.base");
+        let base_latency = (0..endpoints)
+            .map(|i| 1 + base_stream.derive(&format!("ep{i}")).gen_range(span))
+            .collect();
         EndpointHealth {
+            service_stream: DetRng::seed(config.seed).derive("lat"),
+            hedge_stream: DetRng::seed(config.seed).derive("hedge"),
             config,
             breakers,
             trackers,
             hedges: 0,
             hedge_wins: 0,
+            base_latency,
         }
     }
 
@@ -618,32 +633,19 @@ impl EndpointHealth {
         }
     }
 
-    /// Seeded per-endpoint constant: slow endpoints stay slow, which is
-    /// what gives the slowest-decile hedge set its stability.
-    fn base_latency(&self, i: usize) -> u64 {
-        let span = self.config.adaptive.synthetic_span_ms.max(1);
-        1 + DetRng::seed(self.config.seed)
-            .derive("lat.base")
-            .derive(&format!("ep{i}"))
-            .gen_range(span)
-    }
-
     fn service_latency(&self, i: usize, now: u64) -> u64 {
-        let noise = self.config.adaptive.synthetic_span_ms / 4 + 1;
-        self.base_latency(i)
-            + DetRng::seed(self.config.seed)
-                .derive("lat")
-                .derive(&format!("ep{i}.{now}"))
-                .gen_range(noise)
+        self.latency_draw(&self.service_stream, i, now)
     }
 
     fn hedge_latency(&self, i: usize, now: u64) -> u64 {
+        self.latency_draw(&self.hedge_stream, i, now)
+    }
+
+    /// Endpoint `i`'s base latency plus noise drawn from the child of
+    /// `parent` keyed by `(i, now)` — one Keccak per draw.
+    fn latency_draw(&self, parent: &DetRng, i: usize, now: u64) -> u64 {
         let noise = self.config.adaptive.synthetic_span_ms / 4 + 1;
-        self.base_latency(i)
-            + DetRng::seed(self.config.seed)
-                .derive("hedge")
-                .derive(&format!("ep{i}.{now}"))
-                .gen_range(noise)
+        self.base_latency[i] + parent.derive(&format!("ep{i}.{now}")).gen_range(noise)
     }
 
     /// Aggregated counters and state gauges.

@@ -13,6 +13,9 @@
 //! [`DetRng`](crate::DetRng), which campaign code derives per stable
 //! entity key (domain name, link code, endpoint id) — never from scan
 //! order — so retry schedules are bit-identical across shard counts.
+//! [`retry`] takes the stream as a constructor and builds it at the
+//! first backoff, so the common first-try success pays nothing for the
+//! derivation (a Keccak per key) it never draws from.
 
 use crate::rng::DetRng;
 
@@ -196,14 +199,18 @@ impl<T, E> RetryOutcome<T, E> {
 /// `op` receives the zero-based attempt index — fault plans key their
 /// schedule on it. Transient errors are retried until the policy's
 /// attempt budget or deadline runs out; a permanent error stops the
-/// loop immediately. Jitter comes from `rng`, so two calls with equal
-/// `(policy, rng, error sequence)` produce identical schedules.
+/// loop immediately. Jitter comes from the stream `jitter` returns,
+/// called at most once, at the first backoff; so two calls with equal
+/// `(policy, jitter stream, error sequence)` produce identical
+/// schedules, and a loop that never backs off never builds the stream.
 pub fn retry<T, E: Retryable, C: Clock>(
     policy: &RetryPolicy,
     clock: &mut C,
-    rng: &mut DetRng,
+    jitter: impl FnOnce() -> DetRng,
     mut op: impl FnMut(u32) -> Result<T, E>,
 ) -> RetryOutcome<T, E> {
+    let mut jitter = Some(jitter);
+    let mut rng: Option<DetRng> = None;
     let start = clock.now_ms();
     let max_attempts = policy.max_attempts.max(1);
     let mut attempts = 0u32;
@@ -235,6 +242,7 @@ pub fn retry<T, E: Retryable, C: Clock>(
                 waited_ms,
             };
         }
+        let rng = rng.get_or_insert_with(|| (jitter.take().expect("built once"))());
         let backoff = policy.backoff_ms(attempts, rng);
         if let Some(deadline) = policy.deadline_ms {
             let elapsed = clock.now_ms().saturating_sub(start);
@@ -286,11 +294,10 @@ mod tests {
     #[test]
     fn succeeds_first_try_without_waiting() {
         let mut clock = VirtualClock::new();
-        let mut rng = DetRng::seed(1);
         let out = retry(
             &RetryPolicy::default(),
             &mut clock,
-            &mut rng,
+            || DetRng::seed(1),
             flaky_until(0),
         );
         assert_eq!(out.retries(), 0);
@@ -303,11 +310,10 @@ mod tests {
     #[test]
     fn transient_errors_are_retried_until_success() {
         let mut clock = VirtualClock::new();
-        let mut rng = DetRng::seed(2);
         let out = retry(
             &RetryPolicy::attempts(5),
             &mut clock,
-            &mut rng,
+            || DetRng::seed(2),
             flaky_until(3),
         );
         assert_eq!(out.result.unwrap(), 3);
@@ -319,11 +325,10 @@ mod tests {
     #[test]
     fn zero_retries_policy_gives_up_on_first_transient() {
         let mut clock = VirtualClock::new();
-        let mut rng = DetRng::seed(3);
         let out = retry(
             &RetryPolicy::no_retries(),
             &mut clock,
-            &mut rng,
+            || DetRng::seed(3),
             flaky_until(1),
         );
         let err = out.result.unwrap_err();
@@ -336,11 +341,10 @@ mod tests {
     #[test]
     fn permanent_error_short_circuits() {
         let mut clock = VirtualClock::new();
-        let mut rng = DetRng::seed(4);
         let out = retry(
             &RetryPolicy::attempts(10),
             &mut clock,
-            &mut rng,
+            || DetRng::seed(4),
             |_: u32| -> Result<(), TestError> { Err(TestError::Fatal) },
         );
         let err = out.result.unwrap_err();
@@ -352,11 +356,10 @@ mod tests {
     #[test]
     fn attempt_budget_is_exhausted_on_persistent_transients() {
         let mut clock = VirtualClock::new();
-        let mut rng = DetRng::seed(5);
         let out = retry(
             &RetryPolicy::attempts(3),
             &mut clock,
-            &mut rng,
+            || DetRng::seed(5),
             flaky_until(u32::MAX),
         );
         assert_eq!(out.result.unwrap_err().give_up, GiveUp::Exhausted);
@@ -376,8 +379,12 @@ mod tests {
             deadline_ms: Some(250),
         };
         let mut clock = VirtualClock::new();
-        let mut rng = DetRng::seed(6);
-        let out = retry(&policy, &mut clock, &mut rng, flaky_until(u32::MAX));
+        let out = retry(
+            &policy,
+            &mut clock,
+            || DetRng::seed(6),
+            flaky_until(u32::MAX),
+        );
         assert_eq!(out.result.unwrap_err().give_up, GiveUp::DeadlineExceeded);
         assert_eq!(out.attempts, 2);
         assert_eq!(clock.now_ms(), 100);
@@ -418,6 +425,77 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.iter().all(|&d| (50..=150).contains(&d)), "{a:?}");
         assert!(a.iter().any(|&d| d != 100));
+    }
+
+    /// A jitter constructor that fails the test if it is ever called.
+    fn never_built() -> DetRng {
+        panic!("jitter stream built without a backoff")
+    }
+
+    #[test]
+    fn first_try_success_never_builds_the_jitter_stream() {
+        let mut clock = VirtualClock::new();
+        let out = retry(
+            &RetryPolicy::attempts(5),
+            &mut clock,
+            never_built,
+            flaky_until(0),
+        );
+        assert_eq!(out.result.unwrap(), 0);
+        assert_eq!(out.attempts, 1);
+    }
+
+    #[test]
+    fn permanent_error_never_builds_the_jitter_stream() {
+        let mut clock = VirtualClock::new();
+        let out = retry(
+            &RetryPolicy::attempts(5),
+            &mut clock,
+            never_built,
+            |_: u32| -> Result<(), TestError> { Err(TestError::Fatal) },
+        );
+        assert_eq!(out.result.unwrap_err().give_up, GiveUp::Permanent);
+        assert_eq!(out.attempts, 1);
+    }
+
+    #[test]
+    fn lazy_stream_backs_off_exactly_like_an_eager_one() {
+        // The loop's schedule must equal the backoffs drawn in order from
+        // a stream built up front with the same seed, and the stream must
+        // be built exactly once however many backoffs follow.
+        let policy = RetryPolicy {
+            max_attempts: 8,
+            base_delay_ms: 40,
+            max_delay_ms: 1_000,
+            jitter: 0.5,
+            deadline_ms: None,
+        };
+        for seed in 0..16u64 {
+            for fail_first in 1..8u32 {
+                let mut eager = DetRng::seed(seed).derive("jitter");
+                let expected: u64 = (1..=fail_first)
+                    .map(|a| policy.backoff_ms(a, &mut eager))
+                    .sum();
+                let mut clock = VirtualClock::new();
+                let mut builds = 0;
+                let out = retry(
+                    &policy,
+                    &mut clock,
+                    || {
+                        builds += 1;
+                        DetRng::seed(seed).derive("jitter")
+                    },
+                    flaky_until(fail_first),
+                );
+                assert_eq!(builds, 1, "seed {seed}, {fail_first} failures");
+                assert_eq!(out.result.unwrap(), fail_first);
+                assert_eq!(
+                    out.waited_ms, expected,
+                    "seed {seed}, {fail_first} failures"
+                );
+                assert_eq!(clock.now_ms(), expected);
+            }
+        }
     }
 
     #[test]

@@ -109,8 +109,8 @@ pub fn probe_with_retry<P: LinkProber>(
     policy: &ProbePolicy,
 ) -> (Result<Option<VisitDoc>, ProbeError>, u32) {
     let mut clock = VirtualClock::new();
-    let mut rng = DetRng::seed(policy.jitter_seed).derive(&format!("probe.jitter.{code}"));
-    let outcome = retry(&policy.retry, &mut clock, &mut rng, |attempt| {
+    let jitter = || DetRng::seed(policy.jitter_seed).derive(&format!("probe.jitter.{code}"));
+    let outcome = retry(&policy.retry, &mut clock, jitter, |attempt| {
         prober.probe(code, attempt)
     });
     let retries = outcome.retries();
