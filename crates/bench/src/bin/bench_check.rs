@@ -9,25 +9,44 @@
 //! Every numeric field whose key ends in `secs` is compared at the same
 //! JSON path; the run fails when `current > baseline * threshold`
 //! (default 2.0 — generous on purpose: CI runners are noisy, and the
-//! gate exists to catch order-of-magnitude rot, not jitter). Fields
-//! present on only one side are reported but never fail the gate, so
-//! adding a workload does not require regenerating every baseline.
+//! gate exists to catch order-of-magnitude rot, not jitter).
+//!
+//! The checkpoint counts in [`EXACT_KEYS`] are deterministic for a
+//! given seed, so they are gated exactly: any change to a checkpoint
+//! count, a snapshot size or the bytes written is a diff to explain
+//! (and a baseline to regenerate), never a note. Other non-time fields
+//! are not compared.
+//!
+//! Fields present on only one side are reported but never fail the
+//! gate, so adding a workload does not require regenerating every
+//! baseline.
 
 use minedig_net::json::Value;
 
 /// Default regression threshold: current may take up to 2× baseline.
 const DEFAULT_THRESHOLD: f64 = 2.0;
 
+/// Keys whose values must equal the baseline exactly: the supervision
+/// counts `bench_ckpt_smoke` writes into `BENCH_checkpoint.json`.
+const EXACT_KEYS: [&str; 5] = [
+    "checkpoints",
+    "snapshot_bytes",
+    "bytes_written",
+    "crashes",
+    "items_redone",
+];
+
 struct Gate {
     threshold: f64,
     compared: u32,
+    exact: u32,
     regressions: Vec<String>,
 }
 
 impl Gate {
     /// Walks `baseline` and `current` in lockstep, comparing every
-    /// numeric `*secs` leaf reachable through matching object keys and
-    /// array indices.
+    /// numeric `*secs` and [`EXACT_KEYS`] leaf reachable through
+    /// matching object keys and array indices.
     fn walk(&mut self, path: &str, baseline: &Value, current: &Value) {
         match (baseline, current) {
             (Value::Obj(b), Value::Obj(c)) => {
@@ -55,13 +74,21 @@ impl Gate {
                 }
             }
             _ => {
-                let key_is_secs = path.rsplit('/').next().unwrap_or("").ends_with("secs");
-                if !key_is_secs {
-                    return;
-                }
+                let key = path.rsplit('/').next().unwrap_or("");
                 let (Some(b), Some(c)) = (baseline.as_f64(), current.as_f64()) else {
                     return;
                 };
+                if EXACT_KEYS.contains(&key) {
+                    self.exact += 1;
+                    if c != b {
+                        self.regressions
+                            .push(format!("{path}: {c} vs baseline {b} (must match exactly)"));
+                    }
+                    return;
+                }
+                if !key.ends_with("secs") {
+                    return;
+                }
                 self.compared += 1;
                 // Sub-millisecond baselines are pure noise at CI
                 // resolution; hold them to an absolute floor instead.
@@ -97,13 +124,14 @@ fn main() {
     let mut gate = Gate {
         threshold,
         compared: 0,
+        exact: 0,
         regressions: Vec::new(),
     };
     gate.walk("", &baseline, &current);
 
     println!(
-        "{}: {} wall-clock fields compared against {} at {threshold}x",
-        current_path, gate.compared, baseline_path
+        "{}: {} wall-clock fields compared against {} at {threshold}x, {} counts exactly",
+        current_path, gate.compared, baseline_path, gate.exact
     );
     if gate.compared == 0 {
         eprintln!("error: no comparable *secs fields — wrong file pair?");
@@ -117,4 +145,54 @@ fn main() {
         std::process::exit(1);
     }
     println!("no regressions");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn gate(baseline: &str, current: &str) -> Gate {
+        let mut gate = Gate {
+            threshold: DEFAULT_THRESHOLD,
+            compared: 0,
+            exact: 0,
+            regressions: Vec::new(),
+        };
+        gate.walk(
+            "",
+            &Value::parse(baseline).unwrap(),
+            &Value::parse(current).unwrap(),
+        );
+        gate
+    }
+
+    #[test]
+    fn checkpoint_counts_must_match_exactly() {
+        let base =
+            r#"{"runs": [{"secs": 1.0, "checkpoints": 10, "snapshot_bytes": 500, "items": 7}]}"#;
+        let same = gate(base, base);
+        assert!(same.regressions.is_empty());
+        assert_eq!((same.compared, same.exact), (1, 2));
+        // One byte more in a snapshot fails even though time improved…
+        let grown =
+            r#"{"runs": [{"secs": 0.5, "checkpoints": 10, "snapshot_bytes": 501, "items": 7}]}"#;
+        let g = gate(base, grown);
+        assert_eq!(g.regressions.len(), 1, "{:?}", g.regressions);
+        assert!(g.regressions[0].contains("snapshot_bytes"));
+        // …and so does one byte less: exact means exact.
+        let shrunk =
+            r#"{"runs": [{"secs": 1.0, "checkpoints": 10, "snapshot_bytes": 499, "items": 7}]}"#;
+        assert_eq!(gate(base, shrunk).regressions.len(), 1);
+        // Other non-time fields stay ungated.
+        let other =
+            r#"{"runs": [{"secs": 1.0, "checkpoints": 10, "snapshot_bytes": 500, "items": 9}]}"#;
+        assert!(gate(base, other).regressions.is_empty());
+    }
+
+    #[test]
+    fn times_are_gated_at_the_threshold() {
+        let base = r#"{"secs": 1.0}"#;
+        assert!(gate(base, r#"{"secs": 1.9}"#).regressions.is_empty());
+        assert_eq!(gate(base, r#"{"secs": 2.1}"#).regressions.len(), 1);
+    }
 }

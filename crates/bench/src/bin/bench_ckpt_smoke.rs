@@ -5,17 +5,21 @@
 //! Each workload runs once unsupervised (the overhead baseline), then
 //! supervised at several checkpoint cadences with two simulated kills
 //! injected — so the recorded times include snapshot encoding, the
-//! atomic file replace, restore-on-restart, and the redone tail items.
+//! appended records and new-base rewrites, restore-on-restart, and the
+//! redone tail items.
 //! Every supervised outcome is asserted bit-identical to the baseline
 //! before its row is emitted: a bench that drifted from the
 //! correctness contract would be measuring the wrong thing.
 //!
 //! The headline ratio is `secs` at cadence 64 (the CLI default) vs the
-//! unsupervised row. These smoke items are microseconds each, so the
-//! snapshot write dominates and the ratio looks dramatic; what the
-//! sweep is really pinning down is the per-checkpoint cost (divide the
-//! delta by `checkpoints`) and how it scales with snapshot size — the
-//! enumeration ledger's snapshot is ~30× the scan's.
+//! unsupervised row. What the sweep pins down is the per-checkpoint
+//! cost (divide the delta by `checkpoints`) and how it scales with the
+//! state: `bytes_written` sums every save, `snapshot_bytes` is what
+//! the last save wrote. The scan rewrites its snapshot from the front,
+//! so each save costs a whole snapshot; the enumeration's event stream
+//! grows at its end, so a save appends only the new events. Every
+//! count in a row is deterministic, and `bench_check` gates them
+//! exactly.
 
 use minedig_bench::env_u64;
 use minedig_core::campaign::ZgrabCampaign;
@@ -37,6 +41,7 @@ struct Row {
     secs: f64,
     checkpoints: u64,
     snapshot_bytes: u64,
+    bytes_written: u64,
     crashes: u64,
     items_redone: u64,
 }
@@ -71,6 +76,7 @@ fn main() {
         secs: start.elapsed().as_secs_f64(),
         checkpoints: 0,
         snapshot_bytes: 0,
+        bytes_written: 0,
         crashes: 0,
         items_redone: 0,
     }];
@@ -98,6 +104,7 @@ fn main() {
             secs,
             checkpoints: run.report.checkpoints,
             snapshot_bytes: run.report.snapshot_bytes,
+            bytes_written: run.report.bytes_written,
             crashes: u64::from(run.report.crashes),
             items_redone: run.report.items_lost,
         });
@@ -109,11 +116,11 @@ fn main() {
         rows,
     });
 
-    // §4.1 study: the enumeration walk supervised, resolution after.
-    // Smaller than the async smoke's study: the enumeration snapshot
-    // carries the resolved ledger, so its size — and with it the cost
-    // of a tight checkpoint cadence — grows with the walk. That growth
-    // is exactly what the sweep is here to show.
+    // §4.1 study: the enumeration walk supervised, with the tail
+    // resolve riding on it. Smaller than the async smoke's study: the
+    // snapshot carries the whole ledger, so it grows with the walk, and
+    // the sweep shows whether a save costs the state or only the events
+    // since the last one.
     let config = StudyConfig {
         model: ModelConfig {
             total_links: 40_000,
@@ -131,6 +138,7 @@ fn main() {
         secs: start.elapsed().as_secs_f64(),
         checkpoints: 0,
         snapshot_bytes: 0,
+        bytes_written: 0,
         crashes: 0,
         items_redone: 0,
     }];
@@ -171,6 +179,7 @@ fn main() {
             secs,
             checkpoints: run.report.checkpoints,
             snapshot_bytes: run.report.snapshot_bytes,
+            bytes_written: run.report.bytes_written,
             crashes: u64::from(run.report.crashes),
             items_redone: run.report.items_lost,
         });
@@ -192,11 +201,12 @@ fn main() {
             } else {
                 println!(
                     "  every {:>3}: {:.3}s ({:+.1}% vs unsupervised), {} ckpts, \
-                     {} snapshot bytes, {} crashes, {} items redone",
+                     {} bytes written ({} by the last), {} crashes, {} items redone",
                     r.every,
                     r.secs,
                     (r.secs / base.max(1e-9) - 1.0) * 100.0,
                     r.checkpoints,
+                    r.bytes_written,
                     r.snapshot_bytes,
                     r.crashes,
                     r.items_redone,
@@ -215,11 +225,13 @@ fn main() {
         for (j, r) in w.rows.iter().enumerate() {
             json.push_str(&format!(
                 "{{\"every\": {}, \"secs\": {:.6}, \"checkpoints\": {}, \
-                 \"snapshot_bytes\": {}, \"crashes\": {}, \"items_redone\": {}}}{}",
+                 \"snapshot_bytes\": {}, \"bytes_written\": {}, \"crashes\": {}, \
+                 \"items_redone\": {}}}{}",
                 r.every,
                 r.secs,
                 r.checkpoints,
                 r.snapshot_bytes,
+                r.bytes_written,
                 r.crashes,
                 r.items_redone,
                 if j + 1 == w.rows.len() { "" } else { ", " }

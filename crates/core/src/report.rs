@@ -378,7 +378,7 @@ pub fn async_poll_summary(label: &str, sweeps: u64, stats: &AsyncStats) -> Strin
 ///
 /// ```text
 /// zgrab .org (supervised): 1050 items over 4 attempts (3 crashes, 0 stall restarts)
-///   17 checkpoints (8531 bytes last), 42 items lost to crashes, 1008 before crash + 42 after resume [balanced]
+///   17 checkpoints (145037 bytes written, 8531 by the last), 42 items lost to crashes, 1008 before crash + 42 after resume [balanced]
 /// ```
 pub fn checkpoint_summary(label: &str, report: &SuperviseReport) -> String {
     let mut out = format!(
@@ -389,8 +389,9 @@ pub fn checkpoint_summary(label: &str, report: &SuperviseReport) -> String {
         report.stall_restarts,
     );
     out.push_str(&format!(
-        "  {} checkpoints ({} bytes last), {} items lost to crashes, {} before crash + {} after resume [{}]\n",
+        "  {} checkpoints ({} bytes written, {} by the last), {} items lost to crashes, {} before crash + {} after resume [{}]\n",
         report.checkpoints,
+        report.bytes_written,
         report.snapshot_bytes,
         report.items_lost,
         report.items_before_crash,
@@ -511,6 +512,7 @@ mod tests {
             crashes: 3,
             checkpoints: 17,
             snapshot_bytes: 8_531,
+            bytes_written: 145_037,
             items_before_crash: 1_008,
             items_after_resume: 42,
             items_lost: 42,
@@ -520,7 +522,7 @@ mod tests {
         };
         let text = checkpoint_summary("zgrab .org (supervised)", &report);
         assert!(text.contains("1050 items over 4 attempts (3 crashes, 0 stall restarts)"));
-        assert!(text.contains("17 checkpoints (8531 bytes last)"));
+        assert!(text.contains("17 checkpoints (145037 bytes written, 8531 by the last)"));
         assert!(text.contains("[balanced]"), "{text}");
     }
 

@@ -3,7 +3,9 @@
 //! Long campaigns (the 138 M-domain crawl, the 1.7 M-ID short-link
 //! enumeration, the 4-week §4.2 poll) must survive process death
 //! without losing progress. This module defines the on-disk snapshot
-//! format every campaign checkpoints through:
+//! format every campaign checkpoints through.
+//!
+//! A [`Snapshot`] on its own is encoded in the v1 framing:
 //!
 //! ```text
 //! +--------+---------+--------------+-------------+---------+----------+
@@ -13,13 +15,63 @@
 //! ```
 //!
 //! The checksum covers every preceding byte, so truncation, bit rot
-//! and partially-applied writes are all rejected at load time; writes
-//! go through a temp file in the same directory followed by an atomic
-//! `rename`, so a crash *during* checkpointing leaves the previous
-//! snapshot intact. The payload is campaign-defined and encoded with
-//! [`SnapWriter`] / decoded with [`SnapReader`] (varint integers,
-//! length-prefixed byte strings) — the same primitives the Wasm
-//! decoder uses, so there is no serialization dependency.
+//! and partially-applied writes are all rejected at load time.
+//!
+//! A [`SnapshotStore`] keeps each snapshot name as a series of
+//! *generations*, one file each. A generation is a **base** — a whole
+//! snapshot in the v1 framing, written to a temp file in the same
+//! directory and `rename`d into place — followed by appended
+//! **records**, each carrying only what changed since the previous
+//! commit:
+//!
+//! ```text
+//! generation file: base | record | record | …
+//!
+//! record:
+//! +----------+-----------+--------------+----------+-----------+---------+
+//! | body_len | !body_len | progress_key | keep_len | new bytes | sha-256 |
+//! | u64 LE   | u64 LE    | varint       | varint   |           | 32 B    |
+//! +----------+-----------+--------------+----------+-----------+---------+
+//!                        |<------------ body (body_len B) ---->|
+//! ```
+//!
+//! Replaying a record keeps the first `keep_len` bytes of the previous
+//! payload and appends the new bytes. The length is guarded by its bit
+//! complement, so a flipped length field is caught before it can be
+//! mistaken for a short file. The record's SHA-256 covers the previous
+//! link in the chain (the base's trailer, or the previous record's
+//! digest), both length words and the body, so records cannot be
+//! reordered, dropped from the middle, or spliced in from another
+//! generation.
+//!
+//! Three rules make the format crash-safe and keep its cost
+//! proportional to new work:
+//!
+//! * **Torn tail.** A final record that runs past the end of the file
+//!   is an append the process did not finish: it was never committed.
+//!   `load` drops it and returns the previous commit; the next `save`
+//!   truncates it before appending. A *complete* record whose length
+//!   guard or checksum fails is damage and an error, never a silent
+//!   fallback to older progress.
+//! * **New base.** `save` cuts a new generation instead of appending
+//!   when the bytes appended since the base would reach the payload's
+//!   size (a record would cost as much as a rewrite), when the progress
+//!   key goes backwards (a fresh restart over a stale snapshot), or when
+//!   the file is not the length this store last left it (another writer
+//!   or a restore from elsewhere). There is no knob.
+//! * **Retention.** `keep` counts generations: after a new base is
+//!   renamed into place, all but the newest `keep` generation files of
+//!   the name are deleted ([`CKPT_KEEP_ENV`] sets `keep`). The newest is
+//!   the live snapshot; older ones hold the progress of their last
+//!   record, for an operator to fall back to by hand.
+//!
+//! The payload is campaign-defined and encoded with [`SnapWriter`] /
+//! decoded with [`SnapReader`] (varint integers, length-prefixed byte
+//! strings) — the same primitives the Wasm decoder uses, so there is no
+//! serialization dependency. A campaign whose payload grows at its end
+//! (an append-ordered event stream, counters last) gets records the
+//! size of its new events; one that rewrites its payload from the front
+//! pays a rewrite, as it always did.
 //!
 //! The determinism contract: a campaign's snapshot captures *all* the
 //! state its remaining items can observe (accumulated outcome, stats,
@@ -29,12 +81,15 @@
 //! suffix — on any executor backend — reproduces the uninterrupted
 //! run bit for bit.
 
-use crate::varint::{read_varint, write_varint, ByteReader, VarintError};
+use crate::sha256::Sha256;
+use crate::varint::{write_varint, ByteReader, VarintError};
 use crate::Hash32;
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
 /// Leading bytes of every snapshot file.
 pub const MAGIC: &[u8; 6] = b"MDCKPT";
@@ -126,63 +181,306 @@ impl Snapshot {
     }
 
     /// Parses and verifies a serialized snapshot, rejecting bad magic,
-    /// unknown versions, truncation, and checksum mismatches.
+    /// unknown versions, truncation, checksum mismatches and trailing
+    /// bytes.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, CkptError> {
+        let (snap, used) = Snapshot::decode_prefix(bytes)?;
+        if used != bytes.len() {
+            return Err(CkptError::Corrupt("trailing bytes after snapshot"));
+        }
+        Ok(snap)
+    }
+
+    /// Parses and verifies the snapshot at the start of `bytes` (a
+    /// generation's base), returning it with the number of bytes it
+    /// spans. A base that runs past the end of `bytes` is truncated:
+    /// bases are committed by `rename`, so they are never torn.
+    fn decode_prefix(bytes: &[u8]) -> Result<(Snapshot, usize), CkptError> {
         if bytes.len() < MAGIC.len() {
             return Err(CkptError::Truncated);
         }
         if &bytes[..MAGIC.len()] != MAGIC {
             return Err(CkptError::BadMagic);
         }
-        if bytes.len() < MAGIC.len() + 32 {
-            return Err(CkptError::Truncated);
-        }
-        let (content, trailer) = bytes.split_at(bytes.len() - 32);
-        if Hash32::sha256(content).0 != trailer {
+        let mut r = ByteReader::new(&bytes[MAGIC.len()..]);
+        let version = r.read_varint()?;
+        let progress_key = r.read_varint()?;
+        let len = r.read_varint()?;
+        let start = MAGIC.len() + r.position();
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|len| start.checked_add(len))
+            .filter(|&end| end + 32 <= bytes.len())
+            .ok_or(CkptError::Truncated)?;
+        if Hash32::sha256(&bytes[..end]).0 != bytes[end..end + 32] {
             return Err(CkptError::ChecksumMismatch);
         }
-        let mut pos = MAGIC.len();
-        let (version, n) = read_varint(&content[pos..])?;
-        pos += n;
         if version != FORMAT_VERSION {
             return Err(CkptError::UnsupportedVersion(version));
         }
-        let (progress_key, n) = read_varint(&content[pos..])?;
-        pos += n;
-        let (len, n) = read_varint(&content[pos..])?;
-        pos += n;
-        if content.len() - pos != len as usize {
-            return Err(CkptError::Truncated);
-        }
-        Ok(Snapshot {
+        let snap = Snapshot {
             version,
             progress_key,
-            payload: content[pos..].to_vec(),
-        })
+            payload: bytes[start..end].to_vec(),
+        };
+        Ok((snap, end + 32))
     }
 }
 
-/// Environment variable overriding how many snapshots per name a
+/// Bytes of a record's two length words.
+const RECORD_HEADER: usize = 16;
+
+/// Bytes of a record's SHA-256 trailer.
+const RECORD_TRAILER: usize = 32;
+
+/// Encodes the record that keeps `keep` bytes of the previous payload
+/// and appends `new`, at `progress_key`, chained to `link`. The
+/// record's last 32 bytes are its digest: the next record's link.
+fn encode_record(link: &[u8; 32], progress_key: u64, keep: usize, new: &[u8]) -> Vec<u8> {
+    let mut record = Vec::with_capacity(RECORD_HEADER + 20 + new.len() + RECORD_TRAILER);
+    record.resize(RECORD_HEADER, 0);
+    write_varint(&mut record, progress_key);
+    write_varint(&mut record, keep as u64);
+    record.extend_from_slice(new);
+    let len = (record.len() - RECORD_HEADER) as u64;
+    record[..8].copy_from_slice(&len.to_le_bytes());
+    record[8..RECORD_HEADER].copy_from_slice(&(!len).to_le_bytes());
+    let digest = record_digest(link, &record);
+    record.extend_from_slice(&digest);
+    record
+}
+
+/// The chained checksum of a record's header and body.
+fn record_digest(link: &[u8; 32], header_and_body: &[u8]) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(link);
+    h.update(header_and_body);
+    h.finalize()
+}
+
+/// Bytes `write_varint` spends on `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Length of the common prefix of `a` and `b`, compared 4 KiB at a
+/// time so the usual case — a long equal prefix — runs at `memcmp`
+/// speed.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    const STEP: usize = 4096;
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    while i + STEP <= n && a[i..i + STEP] == b[i..i + STEP] {
+        i += STEP;
+    }
+    i + a[i..n]
+        .iter()
+        .zip(&b[i..n])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// Bytes per block of a [`Blocks`].
+const BLOCK: usize = 64 * 1024;
+
+/// A byte string kept in fixed-size blocks, all full but the last. The
+/// store keeps each name's last payload this way: a payload that grows
+/// save after save then never asks the allocator for one large
+/// contiguous region, so it fits in the heap's free space instead of
+/// moving to a new, larger region on every growth and leaving the old
+/// one behind.
+#[derive(Default)]
+struct Blocks {
+    blocks: Vec<Vec<u8>>,
+}
+
+impl Blocks {
+    fn from_slice(bytes: &[u8]) -> Blocks {
+        let mut b = Blocks::default();
+        b.extend(bytes);
+        b
+    }
+
+    /// Length of the common prefix of these bytes and `other`.
+    fn common_prefix(&self, other: &[u8]) -> usize {
+        let mut done = 0;
+        for block in &self.blocks {
+            let n = common_prefix(block, &other[done..]);
+            done += n;
+            if n < block.len() {
+                break;
+            }
+        }
+        done
+    }
+
+    /// Keeps the first `len` bytes (at most the current length).
+    fn truncate(&mut self, len: usize) {
+        self.blocks.truncate(len.div_ceil(BLOCK));
+        if let Some(last) = self.blocks.last_mut() {
+            last.truncate(len - (len - 1) / BLOCK * BLOCK);
+        }
+    }
+
+    fn extend(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            if self.blocks.last().is_none_or(|b| b.len() == BLOCK) {
+                self.blocks.push(Vec::with_capacity(BLOCK));
+            }
+            let last = self.blocks.last_mut().expect("a block with room");
+            let n = (BLOCK - last.len()).min(bytes.len());
+            last.extend_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
+        }
+    }
+}
+
+/// Environment variable overriding how many generations per name a
 /// [`SnapshotStore`] retains (default [`DEFAULT_KEEP`]).
 pub const CKPT_KEEP_ENV: &str = "MINEDIG_CKPT_KEEP";
 
-/// Snapshots retained per name when [`CKPT_KEEP_ENV`] is unset.
+/// Generations retained per name when [`CKPT_KEEP_ENV`] is unset.
 pub const DEFAULT_KEEP: usize = 2;
 
-/// A directory of named, versioned snapshots with atomic writes and
-/// bounded retention.
+/// A directory of named snapshots, each kept as a bounded series of
+/// append-only generations (see the [module docs](self) for the format
+/// and its rules).
 ///
-/// Every save lands in a fresh `{name}.{seq}.{progress_key}.ckpt` file
-/// (the write-sequence number `seq` orders saves; the progress key is
-/// readable from the filename without decoding). After the atomic
-/// rename the store prunes the oldest versions so at most `keep` remain
-/// — the newest is the live snapshot, the rest are insurance an
-/// operator can fall back to by hand if the newest is ever damaged.
-/// Pre-retention single-file snapshots (`{name}.ckpt`) still load and
-/// are superseded (and removed) by the first versioned save.
+/// Each generation is one `{name}.{seq}.{progress_key}.ckpt` file: the
+/// write-sequence number `seq` orders generations, and the progress key
+/// is the base's, readable from the filename without decoding. Files
+/// written before records existed are generations without records, so
+/// they load unchanged and later saves append to them. Pre-retention
+/// single-file snapshots (`{name}.ckpt`) still load and are superseded
+/// (and removed) by the first new base.
+///
+/// The store remembers, per name, the generation it last committed to
+/// or loaded: its length, chain link and payload. That memory is what
+/// lets `save` append only the bytes that changed, so it belongs to
+/// this instance — a second store over the same directory starts a new
+/// base on its first save instead of appending behind the first
+/// store's back.
 pub struct SnapshotStore {
     dir: PathBuf,
     keep: usize,
+    live: Mutex<HashMap<String, LiveGeneration>>,
+}
+
+/// What a store knows about the generation it last committed to or
+/// loaded for one name.
+struct LiveGeneration {
+    path: PathBuf,
+    /// The file length this store last left or found (past
+    /// `committed` when a torn append was found).
+    file_len: u64,
+    /// End of the last committed record.
+    committed: u64,
+    /// Record bytes committed after the base.
+    appended: u64,
+    /// Digest the next record chains to.
+    link: [u8; 32],
+    /// The last committed snapshot's progress key and payload.
+    progress_key: u64,
+    payload: Blocks,
+}
+
+impl LiveGeneration {
+    /// Reads the base of the generation file `path` (holding `bytes`)
+    /// and replays its records, returning the generation and its last
+    /// committed snapshot. A final record that runs past the end of the
+    /// file is a torn append and is dropped; any complete record that
+    /// fails its guard or checksum is an error.
+    fn replay(path: PathBuf, bytes: &[u8]) -> Result<(LiveGeneration, Snapshot), CkptError> {
+        let (mut snap, base_len) = Snapshot::decode_prefix(bytes)?;
+        let mut link = [0u8; 32];
+        link.copy_from_slice(&bytes[base_len - 32..base_len]);
+        let mut pos = base_len;
+        while bytes.len() - pos >= RECORD_HEADER {
+            let word =
+                |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"));
+            let len = word(pos);
+            if word(pos + 8) != !len {
+                return Err(CkptError::Corrupt("record length guard mismatch"));
+            }
+            let rest = (bytes.len() - pos - RECORD_HEADER) as u64;
+            if len.saturating_add(RECORD_TRAILER as u64) > rest {
+                break; // torn append: never committed
+            }
+            let end = pos + RECORD_HEADER + len as usize;
+            if record_digest(&link, &bytes[pos..end]) != bytes[end..end + RECORD_TRAILER] {
+                return Err(CkptError::ChecksumMismatch);
+            }
+            let mut r = ByteReader::new(&bytes[pos + RECORD_HEADER..end]);
+            snap.progress_key = r.read_varint()?;
+            let keep = usize::try_from(r.read_varint()?)
+                .ok()
+                .filter(|&keep| keep <= snap.payload.len())
+                .ok_or(CkptError::Corrupt(
+                    "record keeps more than the payload holds",
+                ))?;
+            snap.payload.truncate(keep);
+            snap.payload
+                .extend_from_slice(&bytes[end - r.remaining()..end]);
+            link.copy_from_slice(&bytes[end..end + RECORD_TRAILER]);
+            pos = end + RECORD_TRAILER;
+        }
+        let live = LiveGeneration {
+            path,
+            file_len: bytes.len() as u64,
+            committed: pos as u64,
+            appended: (pos - base_len) as u64,
+            link,
+            progress_key: snap.progress_key,
+            payload: Blocks::from_slice(&snap.payload),
+        };
+        Ok((live, snap))
+    }
+
+    /// Appends the record that turns the last commit into `snap`,
+    /// returning its size — or `None` when the new-base rule says a
+    /// base must be cut instead (the caller then writes one).
+    fn append(&mut self, snap: &Snapshot) -> Result<Option<u64>, CkptError> {
+        if snap.version != FORMAT_VERSION || snap.progress_key < self.progress_key {
+            return Ok(None);
+        }
+        let keep = self.payload.common_prefix(&snap.payload);
+        let new = &snap.payload[keep..];
+        // Sized before it is encoded, so a payload rewritten from the
+        // front is not hashed twice (once as a record, once as a base).
+        let record_len = RECORD_HEADER
+            + varint_len(snap.progress_key)
+            + varint_len(keep as u64)
+            + new.len()
+            + RECORD_TRAILER;
+        if self.appended + record_len as u64 >= snap.payload.len() as u64 {
+            return Ok(None);
+        }
+        let mut file = match fs::OpenOptions::new().write(true).open(&self.path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(CkptError::Io(e)),
+        };
+        if file.metadata()?.len() != self.file_len {
+            return Ok(None);
+        }
+        let record = encode_record(&self.link, snap.progress_key, keep, new);
+        if self.file_len > self.committed {
+            file.set_len(self.committed)?; // drop a torn append
+        }
+        file.seek(SeekFrom::Start(self.committed))?;
+        file.write_all(&record)?;
+        debug_assert_eq!(record.len(), record_len);
+        let len = record.len() as u64;
+        self.committed += len;
+        self.file_len = self.committed;
+        self.appended += len;
+        self.link
+            .copy_from_slice(&record[record.len() - RECORD_TRAILER..]);
+        self.progress_key = snap.progress_key;
+        self.payload.truncate(keep);
+        self.payload.extend(new);
+        Ok(Some(len))
+    }
 }
 
 impl SnapshotStore {
@@ -198,7 +496,7 @@ impl SnapshotStore {
         SnapshotStore::open_with_keep(dir, keep)
     }
 
-    /// Opens a snapshot directory retaining the last `keep` snapshots
+    /// Opens a snapshot directory retaining the last `keep` generations
     /// per name (clamped to at least 1).
     pub fn open_with_keep(
         dir: impl Into<PathBuf>,
@@ -209,10 +507,11 @@ impl SnapshotStore {
         Ok(SnapshotStore {
             dir,
             keep: keep.max(1),
+            live: Mutex::new(HashMap::new()),
         })
     }
 
-    /// Snapshots retained per name.
+    /// Generations retained per name.
     pub fn keep(&self) -> usize {
         self.keep
     }
@@ -222,7 +521,7 @@ impl SnapshotStore {
         self.dir.join(format!("{name}.ckpt"))
     }
 
-    /// All on-disk versions of `name` as `(seq, progress_key, path)`,
+    /// All on-disk generations of `name` as `(seq, progress_key, path)`,
     /// ascending by write sequence.
     fn versions(&self, name: &str) -> Result<Vec<(u64, u64, PathBuf)>, CkptError> {
         let mut out = Vec::new();
@@ -252,9 +551,9 @@ impl SnapshotStore {
         Ok(out)
     }
 
-    /// Path of the newest on-disk snapshot of `name` (the file `load`
-    /// would read), falling back to the legacy single-file path when no
-    /// versioned snapshot exists.
+    /// Path of the newest generation of `name` (the file `load` would
+    /// read and `save` append to), falling back to the legacy
+    /// single-file path when no generation exists.
     pub fn path(&self, name: &str) -> PathBuf {
         self.versions(name)
             .ok()
@@ -268,38 +567,82 @@ impl SnapshotStore {
         &self.dir
     }
 
-    /// Saves a new version of the snapshot named `name`: the encoding
-    /// is written to a temp file in the same directory and `rename`d
-    /// into place, so a crash mid-write leaves every previous snapshot
-    /// intact — then versions older than the retention window (and any
-    /// superseded legacy file) are deleted. Returns the number of bytes
-    /// written.
+    /// The per-name live generations. Every update takes a whole entry
+    /// out or puts one in, so a panic while the lock was held leaves the
+    /// map valid and the guard can be recovered.
+    fn live(&self) -> std::sync::MutexGuard<'_, HashMap<String, LiveGeneration>> {
+        self.live.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Commits `snap` as the newest snapshot named `name` and returns
+    /// the number of bytes this save wrote.
+    ///
+    /// Normally that is one record appended to the live generation,
+    /// holding only the bytes that differ from the last commit. When
+    /// the new-base rule applies, the whole encoding is instead written
+    /// to a temp file in the same directory and `rename`d into place as
+    /// a new generation, so a crash mid-write leaves every previous
+    /// generation intact; generations older than the retention window
+    /// (and any superseded legacy file) are then deleted.
     pub fn save(&self, name: &str, snap: &Snapshot) -> Result<u64, CkptError> {
+        let mut live = self.live();
+        // Taken out while writing: a failed append leaves the file in a
+        // state this store no longer knows, so the next save cuts a base.
+        if let Some(mut generation) = live.remove(name) {
+            if let Some(written) = generation.append(snap)? {
+                live.insert(name.to_string(), generation);
+                return Ok(written);
+            }
+        }
         let older = self.versions(name)?;
         let seq = older.last().map_or(1, |(seq, _, _)| seq + 1);
         let bytes = snap.encode();
         let file = format!("{name}.{seq}.{}.ckpt", snap.progress_key);
         let tmp = self.dir.join(format!(".{file}.tmp"));
+        let path = self.dir.join(&file);
         fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, self.dir.join(&file))?;
-        // Retention: the rename succeeded, so older versions beyond the
-        // window — and the superseded legacy file — can go.
+        fs::rename(&tmp, &path)?;
+        // Retention: the rename succeeded, so older generations beyond
+        // the window — and the superseded legacy file — can go.
         let excess = (older.len() + 1).saturating_sub(self.keep);
         for (_, _, path) in &older[..excess.min(older.len())] {
             remove_if_present(path)?;
         }
         remove_if_present(&self.legacy_path(name))?;
+        if snap.version == FORMAT_VERSION {
+            let mut link = [0u8; 32];
+            link.copy_from_slice(&bytes[bytes.len() - 32..]);
+            live.insert(
+                name.to_string(),
+                LiveGeneration {
+                    path,
+                    file_len: bytes.len() as u64,
+                    committed: bytes.len() as u64,
+                    appended: 0,
+                    link,
+                    progress_key: snap.progress_key,
+                    payload: Blocks::from_slice(&snap.payload),
+                },
+            );
+        }
         Ok(bytes.len() as u64)
     }
 
-    /// Loads and verifies the newest snapshot of `name` (falling back
-    /// to the legacy single-file layout); `Ok(None)` if none has ever
-    /// been written. Damage to the newest version is an error, never a
-    /// silent fallback — restoring stale progress behind the campaign's
-    /// back would violate the resume contract.
+    /// Loads and verifies the newest snapshot of `name`: the newest
+    /// generation's base with its committed records replayed (falling
+    /// back to the legacy single-file layout); `Ok(None)` if none has
+    /// ever been written. A torn final append is dropped — it was never
+    /// committed — but damage to anything committed is an error, never
+    /// a silent fallback: restoring stale progress behind the
+    /// campaign's back would violate the resume contract.
     pub fn load(&self, name: &str) -> Result<Option<Snapshot>, CkptError> {
+        let mut live = self.live();
+        live.remove(name);
         if let Some((_, _, path)) = self.versions(name)?.pop() {
-            return Snapshot::decode(&fs::read(path)?).map(Some);
+            let bytes = fs::read(&path)?;
+            let (generation, snap) = LiveGeneration::replay(path, &bytes)?;
+            live.insert(name.to_string(), generation);
+            return Ok(Some(snap));
         }
         match fs::read(self.legacy_path(name)) {
             Ok(bytes) => Snapshot::decode(&bytes).map(Some),
@@ -308,8 +651,16 @@ impl SnapshotStore {
         }
     }
 
-    /// Deletes every version of the snapshot named `name` if present.
+    /// Forgets what this store knows about `name`'s live generation,
+    /// freeing its copy of the last payload. The next save of `name`
+    /// cuts a new base instead of appending.
+    pub(crate) fn forget(&self, name: &str) {
+        self.live().remove(name);
+    }
+
+    /// Deletes every generation of the snapshot named `name` if present.
     pub fn remove(&self, name: &str) -> Result<(), CkptError> {
+        self.live().remove(name);
         for (_, _, path) in self.versions(name)? {
             remove_if_present(&path)?;
         }
@@ -398,6 +749,11 @@ impl SnapWriter {
                 f(self, t);
             }
         }
+    }
+
+    /// The bytes encoded so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     /// The encoded payload.
@@ -667,6 +1023,269 @@ mod tests {
         store.remove("camp").unwrap();
         assert!(store.load("camp").unwrap().is_none());
         assert_eq!(store.load("camp2").unwrap().unwrap().progress_key, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn test_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("minedig-ckpt-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A payload of `len` bytes drawn from `rng`.
+    fn noise(rng: &mut crate::DetRng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.next_u32() as u8).collect()
+    }
+
+    /// The next payload in a random walk over the ways a campaign's
+    /// payload changes between saves.
+    fn next_payload(rng: &mut crate::DetRng, prev: &[u8]) -> Vec<u8> {
+        let mut next = prev.to_vec();
+        match rng.gen_range(5) {
+            // Prefix growth: the append-ordered case records are for.
+            0 | 1 => {
+                let n = rng.range_usize(1, 64);
+                next.extend(noise(rng, n));
+            }
+            // A rewritten tail, as when trailing counters change.
+            2 => {
+                let at = rng.range_usize(0, next.len() + 1);
+                let n = rng.range_usize(0, 48);
+                next.truncate(at);
+                next.extend(noise(rng, n));
+            }
+            // Shrinking.
+            3 => {
+                let at = rng.range_usize(0, next.len() + 1);
+                next.truncate(at);
+            }
+            // A repeat of the last payload.
+            _ => {}
+        }
+        next
+    }
+
+    /// A store's generation files for `name`, oldest first.
+    fn generations(dir: &Path, name: &str) -> Vec<String> {
+        let mut names: Vec<String> = ckpt_files(dir)
+            .into_iter()
+            .filter(|n| n.starts_with(&format!("{name}.")))
+            .collect();
+        names.sort_by_key(|n| n.split('.').nth(1).unwrap().parse::<u64>().unwrap());
+        names
+    }
+
+    #[test]
+    fn random_payload_sequences_replay_to_the_last_save() {
+        let dir = test_dir("replay");
+        let mut rng = crate::DetRng::seed(7);
+        for round in 0..6 {
+            let store = SnapshotStore::open_with_keep(&dir, 2).unwrap();
+            let name = format!("walk{round}");
+            let len = rng.range_usize(0, 600);
+            let mut payload = noise(&mut rng, len);
+            let mut key = 0u64;
+            let mut appends = 0;
+            for step in 0..120 {
+                payload = next_payload(&mut rng, &payload);
+                key += rng.gen_range(3);
+                let snap = Snapshot::new(key, payload.clone());
+                let written = store.save(&name, &snap).unwrap();
+                if written < snap.encode().len() as u64 {
+                    appends += 1;
+                }
+                // The same store, a fresh one (another process), and the
+                // raw generation file all agree on the last commit.
+                if step % 7 == 0 {
+                    assert_eq!(store.load(&name).unwrap().unwrap(), snap, "step {step}");
+                }
+                let fresh = SnapshotStore::open_with_keep(&dir, 2).unwrap();
+                assert_eq!(fresh.load(&name).unwrap().unwrap(), snap, "step {step}");
+            }
+            assert!(appends > 30, "round {round}: only {appends} appends");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn blocks_match_a_flat_buffer_across_block_boundaries() {
+        let mut rng = crate::DetRng::seed(11);
+        let mut flat = Vec::new();
+        let mut blocks = Blocks::default();
+        for step in 0..300 {
+            if rng.chance(0.3) {
+                let keep = rng.range_usize(0, flat.len() + 1);
+                flat.truncate(keep);
+                blocks.truncate(keep);
+            } else {
+                let n = rng.range_usize(0, BLOCK + 100);
+                let bytes = noise(&mut rng, n);
+                flat.extend_from_slice(&bytes);
+                blocks.extend(&bytes);
+            }
+            assert_eq!(blocks.blocks.concat(), flat, "step {step}");
+            assert!(blocks.blocks.iter().rev().skip(1).all(|b| b.len() == BLOCK));
+            // A copy differing at one random byte, and a shorter one.
+            let mut other = flat.clone();
+            if !other.is_empty() {
+                let at = rng.range_usize(0, other.len());
+                other[at] ^= 1;
+                assert_eq!(blocks.common_prefix(&other), at, "step {step}");
+                other.truncate(at);
+                assert_eq!(blocks.common_prefix(&other), at, "step {step}");
+            }
+            assert_eq!(blocks.common_prefix(&flat), flat.len());
+        }
+    }
+
+    /// Saves three growing snapshots into one generation and returns
+    /// them with the file's bytes and where the final record starts.
+    fn three_commits(store: &SnapshotStore) -> (Vec<Snapshot>, Vec<u8>, usize) {
+        let mut rng = crate::DetRng::seed(3);
+        let mut payload = noise(&mut rng, 400);
+        let mut snaps = Vec::new();
+        let mut before_last = 0;
+        for key in [10u64, 20, 30] {
+            payload.extend(noise(&mut rng, 40));
+            let snap = Snapshot::new(key, payload.clone());
+            before_last = std::fs::metadata(store.path("camp")).map_or(0, |m| m.len() as usize);
+            store.save("camp", &snap).unwrap();
+            snaps.push(snap);
+        }
+        assert_eq!(generations(store.dir(), "camp").len(), 1, "one generation");
+        (
+            snaps,
+            std::fs::read(store.path("camp")).unwrap(),
+            before_last,
+        )
+    }
+
+    #[test]
+    fn a_torn_final_record_loads_the_previous_commit_and_is_replaced() {
+        let dir = test_dir("torn");
+        let store = SnapshotStore::open_with_keep(&dir, 2).unwrap();
+        let (snaps, bytes, last) = three_commits(&store);
+        let path = store.path("camp");
+        // Shorter than most torn tails, so stale torn bytes would show
+        // after it if the save did not truncate them first.
+        let next = Snapshot::new(40, snaps[1].payload[..470].to_vec());
+        for cut in last..bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let resumed = SnapshotStore::open_with_keep(&dir, 2).unwrap();
+            assert_eq!(
+                resumed.load("camp").unwrap().unwrap(),
+                snaps[1],
+                "cut at {cut}"
+            );
+            // The next save truncates the torn bytes and appends one
+            // clean record to the same generation.
+            let written = resumed.save("camp", &next).unwrap();
+            assert!(written < 100, "cut at {cut}: appended {written} bytes");
+            assert_eq!(generations(&dir, "camp").len(), 1, "cut at {cut}");
+            let after = std::fs::read(&path).unwrap();
+            assert_eq!(after.len(), last + written as usize, "cut at {cut}");
+            assert_eq!(&after[..last], &bytes[..last], "cut at {cut}");
+            let fresh = SnapshotStore::open_with_keep(&dir, 2).unwrap();
+            assert_eq!(fresh.load("camp").unwrap().unwrap(), next, "cut at {cut}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn any_single_bitflip_in_a_multi_record_generation_is_an_error() {
+        let dir = test_dir("flip");
+        let store = SnapshotStore::open_with_keep(&dir, 2).unwrap();
+        let (_, bytes, last) = three_commits(&store);
+        let path = store.path("camp");
+        // Both length words of the final record, at least, are in range.
+        assert!(last + RECORD_HEADER < bytes.len());
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[i] ^= 1 << bit;
+                std::fs::write(&path, &bad).unwrap();
+                let fresh = SnapshotStore::open_with_keep(&dir, 2).unwrap();
+                assert!(fresh.load("camp").is_err(), "flip of bit {bit} in byte {i}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retention_counts_generations_and_a_lower_key_starts_one() {
+        let dir = test_dir("gens");
+        let store = SnapshotStore::open_with_keep(&dir, 2).unwrap();
+        let payload = |n: usize| vec![7u8; n];
+        // Growth at rising keys appends to one generation.
+        for key in 1..=5u64 {
+            store
+                .save("camp", &Snapshot::new(key, payload(1_000 + key as usize)))
+                .unwrap();
+        }
+        assert_eq!(generations(&dir, "camp"), ["camp.1.1.ckpt"]);
+        // A fresh restart (lower key) starts a new generation…
+        store
+            .save("camp", &Snapshot::new(2, payload(1_000)))
+            .unwrap();
+        assert_eq!(
+            generations(&dir, "camp"),
+            ["camp.1.1.ckpt", "camp.2.2.ckpt"]
+        );
+        store
+            .save("camp", &Snapshot::new(3, payload(1_010)))
+            .unwrap();
+        // …and the next one pushes the oldest out of the window.
+        store
+            .save("camp", &Snapshot::new(1, payload(1_000)))
+            .unwrap();
+        assert_eq!(
+            generations(&dir, "camp"),
+            ["camp.2.2.ckpt", "camp.3.1.ckpt"]
+        );
+        assert_eq!(store.load("camp").unwrap().unwrap().progress_key, 1);
+        // Appended bytes reaching the payload's size cut a new base: a
+        // repeated 1000-byte payload costs ~50 bytes a record.
+        let mut key = 1;
+        while generations(&dir, "camp").last().unwrap() == "camp.3.1.ckpt" {
+            key += 1;
+            assert!(key < 40, "no new base after {key} records");
+            store
+                .save("camp", &Snapshot::new(key, payload(1_000)))
+                .unwrap();
+        }
+        assert!(key > 15, "new base after only {key} records");
+        // A file that is not the length this store left it — here
+        // another store appended — also gets a new base, not a record.
+        let other = SnapshotStore::open_with_keep(&dir, 2).unwrap();
+        other.load("camp").unwrap();
+        other
+            .save("camp", &Snapshot::new(100, payload(1_001)))
+            .unwrap();
+        let snap = Snapshot::new(101, payload(1_002));
+        assert_eq!(
+            store.save("camp", &snap).unwrap(),
+            snap.encode().len() as u64
+        );
+        assert_eq!(generations(&dir, "camp").len(), 2);
+        assert_eq!(other.load("camp").unwrap().unwrap(), snap);
+        store.remove("camp").unwrap();
+        assert!(generations(&dir, "camp").is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v1_versioned_files_load_and_take_records() {
+        let dir = test_dir("v1");
+        let store = SnapshotStore::open_with_keep(&dir, 2).unwrap();
+        let old = Snapshot::new(17, vec![5u8; 500]);
+        std::fs::write(dir.join("camp.3.17.ckpt"), old.encode()).unwrap();
+        assert_eq!(store.load("camp").unwrap().unwrap(), old);
+        // A save after the load appends to the v1 file.
+        let new = Snapshot::new(18, vec![5u8; 520]);
+        assert!(store.save("camp", &new).unwrap() < 100);
+        assert_eq!(generations(&dir, "camp"), ["camp.3.17.ckpt"]);
+        let fresh = SnapshotStore::open_with_keep(&dir, 2).unwrap();
+        assert_eq!(fresh.load("camp").unwrap().unwrap(), new);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -180,8 +180,12 @@ pub struct SuperviseReport {
     pub stall_restarts: u32,
     /// Snapshots written.
     pub checkpoints: u64,
-    /// Size of the last snapshot written, in bytes.
+    /// Bytes the last save wrote: a whole snapshot when it cut a new
+    /// generation, otherwise one appended record (see
+    /// [`SnapshotStore::save`]).
     pub snapshot_bytes: u64,
+    /// Bytes written by every save of the run, summed.
+    pub bytes_written: u64,
     /// Items executed by attempts that were later killed or recycled.
     pub items_before_crash: u64,
     /// Items executed by the attempt that completed.
@@ -210,6 +214,13 @@ impl SuperviseReport {
     /// Restarts actually performed (crashes plus stall recycles).
     pub fn restarts(&self) -> u32 {
         self.crashes + self.stall_restarts
+    }
+
+    /// Counts one save that wrote `bytes`.
+    fn checkpoint(&mut self, bytes: u64) {
+        self.checkpoints += 1;
+        self.snapshot_bytes = bytes;
+        self.bytes_written += bytes;
     }
 }
 
@@ -385,8 +396,10 @@ impl Supervisor {
                     // Final snapshot: a later `--resume` of the same
                     // campaign restores the completed state instead of
                     // re-running anything.
-                    report.snapshot_bytes = store.save(name, &campaign.snapshot())?;
-                    report.checkpoints += 1;
+                    report.checkpoint(store.save(name, &campaign.snapshot())?);
+                    // Nothing will be appended to the finished campaign's
+                    // generation, so the store's copy of it can go.
+                    store.forget(name);
                     break;
                 }
                 let until_ckpt = self
@@ -422,8 +435,7 @@ impl Supervisor {
                             campaign.virtual_now_ms().saturating_sub(last_ckpt_ms) >= t
                         });
                         if due_items || due_time {
-                            report.snapshot_bytes = store.save(name, &campaign.snapshot())?;
-                            report.checkpoints += 1;
+                            report.checkpoint(store.save(name, &campaign.snapshot())?);
                             restore_point = after;
                             last_ckpt_ms = campaign.virtual_now_ms();
                         }
@@ -579,6 +591,7 @@ mod tests {
         assert_eq!(run.report.crashes, 0);
         assert_eq!(run.report.final_progress, 500);
         assert!(run.report.checkpoints > 0);
+        assert!(run.report.bytes_written > run.report.snapshot_bytes);
         assert!(run.report.balanced());
     }
 

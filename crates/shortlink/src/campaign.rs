@@ -1,9 +1,15 @@
 //! The §4.1 enumeration (plus optional accounted resolution) as a
 //! killable, resumable [`Campaign`].
 //!
-//! One item = one probed ID. The snapshot is the enumeration ledger so
-//! far (`docs`, counters), the current dead run, and — when resolution
-//! rides along — the accounted [`ResolveReport`]. Because probe
+//! One item = one probed ID. The snapshot is an append-ordered event
+//! stream — one event per live doc, carrying its resolved URL inline
+//! when resolution rides along — followed by the counters (the walk's,
+//! the current dead run, and the accounted [`ResolveReport`]'s). The
+//! stream is encoded as the fold goes, so a snapshot copies bytes
+//! instead of re-encoding the ledger, and consecutive snapshots share
+//! everything but their new events and counters: exactly what
+//! [`SnapshotStore`](minedig_primitives::ckpt::SnapshotStore) appends
+//! as one record. Because probe
 //! results, retry jitter, and async latency are all keyed by link code
 //! (never probing order), re-probing `[cursor, …)` after a restore
 //! replays exactly the suffix the sequential walk would have produced,
@@ -38,73 +44,100 @@ fn probe_latency_ms(code: &str) -> u64 {
 // Snapshot codec.
 // ---------------------------------------------------------------------
 
-fn put_doc(w: &mut SnapWriter, d: &VisitDoc) {
-    w.str(&d.code);
-    w.u64(d.token_id);
-    w.u64(d.required_hashes);
+/// Opens every payload: the layout's tag. The earlier layout opened
+/// with the live-doc count, and no walk holds this many docs, so a
+/// payload in that layout is rejected here instead of misparsed.
+const STREAM_LAYOUT: u64 = 0x4D44_454E_554D_0002;
+
+/// Event tag of one live doc; the stream ends at [`END_OF_STREAM`].
+const LIVE_DOC: bool = true;
+const END_OF_STREAM: bool = false;
+
+/// Bytes per segment of an [`EventStream`].
+const SEGMENT: usize = 64 * 1024;
+
+/// The payload's append-ordered part — header, then one event per live
+/// doc — encoded as the walk folds, in segments of about [`SEGMENT`]
+/// bytes. A stream that grows all walk long then never needs one large
+/// contiguous allocation, which would move to a new, larger region of
+/// the heap on every growth and leave the old one behind.
+struct EventStream {
+    resolving: bool,
+    done: Vec<Vec<u8>>,
+    open: SnapWriter,
 }
 
-fn take_doc(r: &mut SnapReader) -> Result<VisitDoc, CkptError> {
-    Ok(VisitDoc {
-        code: r.str()?,
-        token_id: r.u64()?,
-        required_hashes: r.u64()?,
-    })
-}
-
-/// Encodes an [`Enumeration`] into `w`.
-pub fn put_enumeration(w: &mut SnapWriter, e: &Enumeration) {
-    w.len(e.docs.len());
-    for d in &e.docs {
-        put_doc(w, d);
+impl EventStream {
+    /// A stream holding just the header: layout tag and resolver mode.
+    fn new(resolving: bool, tail_only: bool) -> EventStream {
+        let mut open = SnapWriter::new();
+        open.u64(STREAM_LAYOUT);
+        open.bool(resolving);
+        open.bool(tail_only);
+        EventStream {
+            resolving,
+            done: Vec::new(),
+            open,
+        }
     }
-    w.u64(e.probed);
-    w.u64(e.failed_probes);
-    w.u64(e.probe_retries);
+
+    /// Appends one live-doc event: the doc, then — when a resolver
+    /// rides along — the URL it resolved to, if it did.
+    fn push(&mut self, doc: &VisitDoc, url: Option<&String>) {
+        let w = &mut self.open;
+        w.bool(LIVE_DOC);
+        w.str(&doc.code);
+        w.u64(doc.token_id);
+        w.u64(doc.required_hashes);
+        if self.resolving {
+            w.opt(url, |w, url| w.str(url));
+        }
+        if w.as_bytes().len() >= SEGMENT {
+            self.done.push(std::mem::take(&mut self.open).finish());
+        }
+    }
+
+    /// The stream followed by `tail`, as one payload.
+    fn with_tail(&self, tail: &[u8]) -> Vec<u8> {
+        let parts = || {
+            self.done
+                .iter()
+                .map(Vec::as_slice)
+                .chain([self.open.as_bytes(), tail])
+        };
+        let mut payload = Vec::with_capacity(parts().map(<[u8]>::len).sum());
+        for part in parts() {
+            payload.extend_from_slice(part);
+        }
+        payload
+    }
 }
 
-/// Decodes an [`Enumeration`] from `r`.
-pub fn take_enumeration(r: &mut SnapReader) -> Result<Enumeration, CkptError> {
-    let n = r.len()?;
-    let mut docs = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        docs.push(take_doc(r)?);
+/// Decodes a stream header into `(resolving, tail_only)`.
+fn take_header(r: &mut SnapReader) -> Result<(bool, bool), CkptError> {
+    if r.u64()? != STREAM_LAYOUT {
+        return Err(CkptError::Corrupt("not an enumeration event stream"));
     }
-    Ok(Enumeration {
-        docs,
-        probed: r.u64()?,
-        failed_probes: r.u64()?,
-        probe_retries: r.u64()?,
-    })
+    Ok((r.bool()?, r.bool()?))
 }
 
-/// Encodes a [`ResolveReport`] into `w`.
-pub fn put_resolve_report(w: &mut SnapWriter, rep: &ResolveReport) {
-    w.len(rep.resolved.len());
-    for (code, url) in &rep.resolved {
-        w.str(code);
-        w.str(url);
+/// Decodes events up to and including the end marker, handing each
+/// live doc and its resolved URL to `f` in stream (= ID) order.
+fn take_events(
+    r: &mut SnapReader,
+    resolving: bool,
+    mut f: impl FnMut(VisitDoc, Option<String>),
+) -> Result<(), CkptError> {
+    while r.bool()? == LIVE_DOC {
+        let doc = VisitDoc {
+            code: r.str()?,
+            token_id: r.u64()?,
+            required_hashes: r.u64()?,
+        };
+        let url = if resolving { r.opt(|r| r.str())? } else { None };
+        f(doc, url);
     }
-    w.u64(rep.skipped_over_budget);
-    w.u64(rep.visit_failures);
-    w.u64(rep.hashes_spent);
-}
-
-/// Decodes a [`ResolveReport`] from `r`.
-pub fn take_resolve_report(r: &mut SnapReader) -> Result<ResolveReport, CkptError> {
-    let n = r.len()?;
-    let mut resolved = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let code = r.str()?;
-        let url = r.str()?;
-        resolved.push((code, url));
-    }
-    Ok(ResolveReport {
-        resolved,
-        skipped_over_budget: r.u64()?,
-        visit_failures: r.u64()?,
-        hashes_spent: r.u64()?,
-    })
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -236,11 +269,17 @@ pub struct EnumCampaign<'a, P: LinkProber + Sync> {
     /// When set, only the *unbiased tail* is resolved: the first
     /// sighting of each `(token, requirement)` pair, and only when
     /// affordable — the §4.1 study's resolve set. The sighting state is
-    /// not snapshotted; it is rebuilt from `enumeration.docs` on
+    /// not snapshotted; it is rebuilt from the stream's docs on
     /// restore, since every live doc entered it exactly once.
     tail_only: bool,
     seen: std::collections::HashSet<(u64, u64)>,
+    /// The ledger as the snapshot's event stream so far. It is the only
+    /// copy of the docs and URLs until `finish` decodes it.
+    stream: EventStream,
+    /// The walk's counters; its `docs` stay empty until `finish`.
     enumeration: Enumeration,
+    /// The resolution counters; its `resolved` stays empty until
+    /// `finish`.
     resolve_report: ResolveReport,
     dead_run: u64,
 }
@@ -280,6 +319,7 @@ impl<'a, P: LinkProber + Sync> EnumCampaign<'a, P> {
             },
             resolve_report: ResolveReport::default(),
             dead_run: 0,
+            stream: EventStream::new(false, false),
         }
     }
 
@@ -292,6 +332,7 @@ impl<'a, P: LinkProber + Sync> EnumCampaign<'a, P> {
         budget_per_link: u64,
     ) -> EnumCampaign<'a, P> {
         self.resolver = Some((service, budget_per_link));
+        self.stream = EventStream::new(true, false);
         self
     }
 
@@ -308,6 +349,7 @@ impl<'a, P: LinkProber + Sync> EnumCampaign<'a, P> {
     ) -> EnumCampaign<'a, P> {
         self.resolver = Some((service, budget_per_link));
         self.tail_only = true;
+        self.stream = EventStream::new(true, true);
         self
     }
 }
@@ -319,29 +361,54 @@ impl<P: LinkProber + Sync> Checkpointable for EnumCampaign<'_, P> {
 
     fn snapshot(&self) -> Snapshot {
         let mut w = SnapWriter::new();
-        put_enumeration(&mut w, &self.enumeration);
+        w.bool(END_OF_STREAM);
+        let e = &self.enumeration;
+        w.u64(e.probed);
+        w.u64(e.failed_probes);
+        w.u64(e.probe_retries);
         w.u64(self.dead_run);
-        w.bool(self.resolver.is_some());
         if self.resolver.is_some() {
-            w.bool(self.tail_only);
-            put_resolve_report(&mut w, &self.resolve_report);
+            let rep = &self.resolve_report;
+            w.u64(rep.skipped_over_budget);
+            w.u64(rep.visit_failures);
+            w.u64(rep.hashes_spent);
         }
-        Snapshot::new(self.enumeration.probed, w.finish())
+        Snapshot::new(e.probed, self.stream.with_tail(w.as_bytes()))
     }
 
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), CkptError> {
         let mut r = SnapReader::new(&snapshot.payload);
-        let enumeration = take_enumeration(&mut r)?;
-        let dead_run = r.u64()?;
-        let had_resolver = r.bool()?;
-        if had_resolver != self.resolver.is_some() {
+        let (resolving, tail_only) = take_header(&mut r)?;
+        if resolving != self.resolver.is_some() {
             return Err(CkptError::Corrupt("resolver presence mismatch"));
         }
-        let resolve_report = if had_resolver {
-            if r.bool()? != self.tail_only {
-                return Err(CkptError::Corrupt("resolver mode mismatch"));
+        if tail_only != self.tail_only {
+            return Err(CkptError::Corrupt("resolver mode mismatch"));
+        }
+        // Re-encoding the events rebuilds the stream and, in tail mode,
+        // the sighting state: every live doc inserted its pair once.
+        let mut stream = EventStream::new(resolving, tail_only);
+        let mut seen = std::collections::HashSet::new();
+        take_events(&mut r, resolving, |doc, url| {
+            if tail_only {
+                seen.insert((doc.token_id, doc.required_hashes));
             }
-            take_resolve_report(&mut r)?
+            stream.push(&doc, url.as_ref());
+        })?;
+        let enumeration = Enumeration {
+            docs: Vec::new(),
+            probed: r.u64()?,
+            failed_probes: r.u64()?,
+            probe_retries: r.u64()?,
+        };
+        let dead_run = r.u64()?;
+        let resolve_report = if resolving {
+            ResolveReport {
+                resolved: Vec::new(),
+                skipped_over_budget: r.u64()?,
+                visit_failures: r.u64()?,
+                hashes_spent: r.u64()?,
+            }
         } else {
             ResolveReport::default()
         };
@@ -349,17 +416,8 @@ impl<P: LinkProber + Sync> Checkpointable for EnumCampaign<'_, P> {
         if dead_run > self.dead_run_limit {
             return Err(CkptError::Corrupt("dead run beyond limit"));
         }
-        // Rebuild the tail filter's sighting state: every live doc the
-        // checkpointed walk saw inserted its pair exactly once.
-        self.seen = if self.tail_only {
-            enumeration
-                .docs
-                .iter()
-                .map(|d| (d.token_id, d.required_hashes))
-                .collect()
-        } else {
-            std::collections::HashSet::new()
-        };
+        self.seen = seen;
+        self.stream = stream;
         self.enumeration = enumeration;
         self.dead_run = dead_run;
         self.resolve_report = resolve_report;
@@ -398,6 +456,7 @@ impl<P: LinkProber + Sync> Campaign for EnumCampaign<'_, P> {
             match result {
                 Ok(Some(doc)) => {
                     self.dead_run = 0;
+                    let mut url = None;
                     if let Some((service, budget_per_link)) = self.resolver {
                         // In tail mode, only the first sighting of a
                         // (token, requirement) pair under budget joins
@@ -412,9 +471,11 @@ impl<P: LinkProber + Sync> Campaign for EnumCampaign<'_, P> {
                                 &doc.code,
                                 budget_per_link,
                             );
+                            // The URL joins the doc's event.
+                            url = self.resolve_report.resolved.pop().map(|(_, url)| url);
                         }
                     }
-                    e.docs.push(doc);
+                    self.stream.push(&doc, url.as_ref());
                 }
                 Ok(None) => self.dead_run += 1,
                 // Neutral: not evidence of a dead ID, not a live link.
@@ -425,9 +486,25 @@ impl<P: LinkProber + Sync> Campaign for EnumCampaign<'_, P> {
     }
 
     fn finish(self) -> EnumCampaignOutput {
+        let mut enumeration = self.enumeration;
+        let mut resolve_report = self.resolve_report;
+        let mut end = SnapWriter::new();
+        end.bool(END_OF_STREAM);
+        let bytes = self.stream.with_tail(end.as_bytes());
+        let mut r = SnapReader::new(&bytes);
+        take_header(&mut r)
+            .and_then(|(resolving, _)| {
+                take_events(&mut r, resolving, |doc, url| {
+                    if let Some(url) = url {
+                        resolve_report.resolved.push((doc.code.clone(), url));
+                    }
+                    enumeration.docs.push(doc);
+                })
+            })
+            .expect("the campaign's own event stream decodes");
         EnumCampaignOutput {
-            enumeration: self.enumeration,
-            resolve_report: self.resolve_report,
+            enumeration,
+            resolve_report,
         }
     }
 }
@@ -597,6 +674,36 @@ mod tests {
             );
             assert_eq!(run.output.resolve_report.skipped_over_budget, 0);
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_stream_of_many_segments_round_trips() {
+        let service = ShortlinkService::new(LinkPopulation::generate(&ModelConfig {
+            total_links: 24_000,
+            users: 300,
+            seed: 5,
+        }));
+        let policy = ProbePolicy::default();
+        let expected = enumerate_links_with(&service, 32, &policy);
+        let build = || {
+            EnumCampaign::new(&service, &policy, 32, Backend::Sequential)
+                .with_tail_resolver(&service, 10_000)
+        };
+        let hb = AtomicU64::new(0);
+        let mut first = build();
+        first.run_items(20_000, &hb);
+        assert!(first.stream.done.len() >= 2, "the walk must span segments");
+        let snap = first.snapshot();
+        let mut second = build();
+        second.restore(&snap).unwrap();
+        assert_eq!(second.stream.done.len(), first.stream.done.len());
+        assert_eq!(second.snapshot(), snap);
+        for mut c in [first, second] {
+            while !c.is_done() {
+                c.run_items(1_000, &hb);
+            }
+            assert_enum_eq(&c.finish().enumeration, &expected);
         }
     }
 

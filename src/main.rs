@@ -20,8 +20,9 @@
 //!
 //! `MINEDIG_CKPT_DIR=<dir>` runs `scan`, `attribute` and `shortlink`
 //! supervised: progress checkpoints land in `<dir>` every
-//! `MINEDIG_CKPT_EVERY` items (default 64, last `MINEDIG_CKPT_KEEP`
-//! snapshots retained), the Chrome scan's fingerprint memo persists
+//! `MINEDIG_CKPT_EVERY` items (default 64; each appends what changed to
+//! the snapshot's current generation, and the last `MINEDIG_CKPT_KEEP`
+//! generations are retained), the Chrome scan's fingerprint memo persists
 //! across runs, and `--resume` continues a killed campaign from its
 //! latest snapshot — with results bit-identical to an uninterrupted
 //! run.
@@ -80,8 +81,8 @@ fn main() {
                  minedig hashrate\n\n\
                  MINEDIG_CKPT_DIR=<dir> checkpoints scan/attribute/shortlink campaigns\n\
                  every MINEDIG_CKPT_EVERY items (default 64), retaining the last\n\
-                 MINEDIG_CKPT_KEEP snapshots (default 2); --resume continues from the\n\
-                 latest snapshot.\n\
+                 MINEDIG_CKPT_KEEP snapshot generations (default 2); --resume\n\
+                 continues from the latest snapshot.\n\
                  MINEDIG_HEALTH=1 runs attribute behind the endpoint-health layer\n\
                  (circuit breakers, adaptive deadlines, hedged probes)."
             );

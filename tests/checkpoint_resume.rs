@@ -20,7 +20,7 @@ use minedig::chain::tx::Transaction;
 use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
 use minedig::core::scan::{build_reference_db, chrome_scan_with, zgrab_scan_with, FetchModel};
 use minedig::pool::pool::{Pool, PoolConfig};
-use minedig::primitives::ckpt::{CkptError, SnapshotStore};
+use minedig::primitives::ckpt::{Checkpointable, CkptError, SnapWriter, Snapshot, SnapshotStore};
 use minedig::primitives::fault::{FaultPlan, FAULT_SEED_ENV};
 use minedig::primitives::supervise::{Backend, Campaign, CrashPolicy, SuperviseError, Supervisor};
 use minedig::primitives::Hash32;
@@ -28,6 +28,7 @@ use minedig::shortlink::campaign::EnumCampaign;
 use minedig::shortlink::enumerate::enumerate_links_with;
 use minedig::shortlink::model::{LinkPopulation, ModelConfig};
 use minedig::shortlink::probe::{FaultyProber, ProbePolicy};
+use minedig::shortlink::resolve::resolve_accounted;
 use minedig::shortlink::service::ShortlinkService;
 use minedig::web::universe::Population;
 use minedig::web::zone::Zone;
@@ -425,4 +426,261 @@ fn snapshot_for_another_population_is_rejected() {
         minedig::primitives::ckpt::Checkpointable::restore(&mut target, &snap),
         Err(CkptError::Corrupt(_))
     ));
+}
+
+// ---------------------------------------------------------------------
+// Append-only snapshot log under the §4.1 walk
+// ---------------------------------------------------------------------
+
+fn enum_service() -> ShortlinkService {
+    ShortlinkService::new(LinkPopulation::generate(&ModelConfig {
+        total_links: 600,
+        users: 40,
+        seed: 11,
+    }))
+}
+
+/// A walk killed after a torn append — the process died part-way
+/// through writing a record, so the generation file ends in a prefix
+/// of one — resumes from the last committed record in a new process,
+/// truncates the torn bytes, and finishes bit-identically.
+#[test]
+fn walk_resumes_bit_identically_after_a_torn_append() {
+    let service = enum_service();
+    let plan = FaultPlan::transient_only(base_seed(), 0.3);
+    let policy = ProbePolicy::outlasting(&plan);
+    let prober = FaultyProber::new(&service, plan);
+    let expected = enumerate_links_with(&prober, 32, &policy);
+    let walk = || EnumCampaign::new(&prober, &policy, 32, Backend::Sequential);
+    let kill = kill_at(60, 699).max(130);
+
+    let (dir, store) = tmp_store("torn-walk");
+    let err = Supervisor::new(CrashPolicy {
+        ckpt_every_items: 64,
+        max_restarts: 0,
+        ..CrashPolicy::default()
+    })
+    .with_kills(vec![kill])
+    .run(&store, "enum", walk, false)
+    .unwrap_err();
+    assert!(matches!(err, SuperviseError::RestartsExhausted(_)));
+    let path = store.path("enum");
+    let committed = std::fs::read(&path).expect("read generation");
+    let checkpointed = SnapshotStore::open(&dir)
+        .unwrap()
+        .load("enum")
+        .unwrap()
+        .expect("a committed snapshot")
+        .progress_key;
+
+    // The record the dying process was writing: the next checkpoint,
+    // appended by a store over a copy of the directory.
+    let copy = std::env::temp_dir().join(format!(
+        "minedig-ckpt-resume-torn-copy-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&copy);
+    std::fs::create_dir_all(&copy).unwrap();
+    let file_name = path.file_name().unwrap();
+    std::fs::copy(&path, copy.join(file_name)).unwrap();
+    let side = SnapshotStore::open(&copy).unwrap();
+    let mut campaign = walk();
+    campaign
+        .restore(&side.load("enum").unwrap().unwrap())
+        .unwrap();
+    campaign.run_items(64, &AtomicU64::new(0));
+    side.save("enum", &campaign.snapshot()).unwrap();
+    let grown = std::fs::read(copy.join(file_name)).unwrap();
+    assert!(
+        grown[..committed.len()] == committed[..],
+        "an append, not a new base"
+    );
+    let record = &grown[committed.len()..];
+    let torn = [&committed[..], &record[..record.len() / 2]].concat();
+    std::fs::write(&path, &torn).unwrap();
+
+    // A new process resumes from the last commit, not the torn one. (It
+    // retains generations generously so the torn one is still there to
+    // inspect afterwards.)
+    let resumed = SnapshotStore::open_with_keep(&dir, 8).unwrap();
+    let run = Supervisor::new(CrashPolicy {
+        ckpt_every_items: 64,
+        ..CrashPolicy::default()
+    })
+    .run(&resumed, "enum", walk, true)
+    .unwrap();
+    let e = &run.output.enumeration;
+    assert_eq!(&e.docs, &expected.docs);
+    assert_eq!(e.probed, expected.probed);
+    assert_eq!(e.failed_probes, expected.failed_probes);
+    assert_eq!(e.probe_retries, expected.probe_retries);
+    assert_eq!(run.report.start_progress, checkpointed);
+    assert!(run.report.balanced(), "{:?}", run.report);
+    // The first save after the resume truncated the torn half-record
+    // and appended the whole one in its place, so the torn generation
+    // now continues exactly like the side store's copy.
+    let after = std::fs::read(&path).unwrap();
+    assert!(after.len() >= grown.len() && after[..grown.len()] == grown[..]);
+    let last = SnapshotStore::open(&dir)
+        .unwrap()
+        .load("enum")
+        .unwrap()
+        .unwrap();
+    assert_eq!(last.progress_key, expected.probed);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&copy);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    // `restore(snapshot())` at any progress point, with no resolver,
+    // the all-docs resolver and the §4.1 tail resolver, rebuilds a
+    // campaign that snapshots to the same bytes and finishes exactly
+    // like the uninterrupted one.
+    #[test]
+    fn enum_campaign_round_trips_at_any_progress(
+        frac in 0u64..100,
+        mode in 0usize..3,
+        seed_off in 0u64..3,
+    ) {
+        let service = enum_service();
+        let plan = FaultPlan::transient_only(base_seed().wrapping_add(seed_off), 0.3);
+        let policy = ProbePolicy::outlasting(&plan);
+        let prober = FaultyProber::new(&service, plan);
+        let build = || {
+            let walk = EnumCampaign::new(&prober, &policy, 32, Backend::Sequential);
+            match mode {
+                0 => walk,
+                1 => walk.with_resolver(&service, 10_000),
+                _ => walk.with_tail_resolver(&service, 2_000),
+            }
+        };
+        let hb = AtomicU64::new(0);
+        let run_out = |mut c: EnumCampaign<'_, FaultyProber<'_, ShortlinkService>>| {
+            while !c.is_done() {
+                c.run_items(64, &hb);
+            }
+            c.finish()
+        };
+        let expected = run_out(build());
+
+        let mut first = build();
+        first.run_items(frac * 7, &hb);
+        let snap = first.snapshot();
+        let mut second = build();
+        second.restore(&snap).unwrap();
+        prop_assert_eq!(second.progress_key(), snap.progress_key);
+        prop_assert_eq!(second.snapshot(), snap.clone());
+        for c in [first, second] {
+            let out = run_out(c);
+            prop_assert_eq!(&out.enumeration.docs, &expected.enumeration.docs);
+            prop_assert_eq!(out.enumeration.probed, expected.enumeration.probed);
+            prop_assert_eq!(out.enumeration.failed_probes, expected.enumeration.failed_probes);
+            prop_assert_eq!(out.enumeration.probe_retries, expected.enumeration.probe_retries);
+            prop_assert_eq!(&out.resolve_report.resolved, &expected.resolve_report.resolved);
+            prop_assert_eq!(out.resolve_report.hashes_spent, expected.resolve_report.hashes_spent);
+            prop_assert_eq!(
+                out.resolve_report.skipped_over_budget,
+                expected.resolve_report.skipped_over_budget
+            );
+            prop_assert_eq!(
+                out.resolve_report.visit_failures,
+                expected.resolve_report.visit_failures
+            );
+        }
+        if mode == 2 {
+            // The tail filter's resolve set, as the batch study builds it.
+            let mut seen = std::collections::HashSet::new();
+            let tail: Vec<String> = expected
+                .enumeration
+                .docs
+                .iter()
+                .filter(|d| seen.insert((d.token_id, d.required_hashes)) && d.required_hashes < 2_000)
+                .map(|d| d.code.clone())
+                .collect();
+            let batch = resolve_accounted(&service, &tail, 2_000);
+            prop_assert_eq!(&expected.resolve_report.resolved, &batch.resolved);
+        }
+    }
+}
+
+/// Encodes a walk in the layout snapshots had before the event stream:
+/// the doc count and docs first, then the counters, then the resolve
+/// report with its own `(code, url)` list.
+fn old_layout_payload(docs: &[minedig::shortlink::service::VisitDoc], resolving: bool) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.len(docs.len());
+    for d in docs {
+        w.str(&d.code);
+        w.u64(d.token_id);
+        w.u64(d.required_hashes);
+    }
+    w.u64(docs.len() as u64 * 2); // probed
+    w.u64(0); // failed probes
+    w.u64(1); // probe retries
+    w.u64(3); // dead run
+    w.bool(resolving);
+    if resolving {
+        w.bool(true); // tail only
+        w.len(docs.len().min(2));
+        for d in docs.iter().take(2) {
+            w.str(&d.code);
+            w.str("https://example.org/");
+        }
+        w.u64(0);
+        w.u64(0);
+        w.u64(42);
+    }
+    w.finish()
+}
+
+/// A snapshot written by the earlier layout is rejected with a typed
+/// error — directly and through a `--resume` — and never restored as
+/// some other walk.
+#[test]
+fn old_layout_enum_payload_is_rejected() {
+    let service = enum_service();
+    let policy = ProbePolicy::default();
+    let docs = enumerate_links_with(&service, 32, &policy).docs;
+    assert!(docs.len() > 100);
+    for n in [0usize, 1, 2, 69, 100, docs.len()] {
+        for resolving in [false, true] {
+            let payload = old_layout_payload(&docs[..n], resolving);
+            let snap = Snapshot::new(n as u64 * 2, payload);
+            let mut campaign = EnumCampaign::new(&service, &policy, 32, Backend::Sequential);
+            if resolving {
+                campaign = campaign.with_tail_resolver(&service, 10_000);
+            }
+            assert!(
+                matches!(campaign.restore(&snap), Err(CkptError::Corrupt(_))),
+                "{n} docs, resolving {resolving}"
+            );
+            assert_eq!(
+                campaign.progress_key(),
+                0,
+                "a rejected restore changes nothing"
+            );
+        }
+    }
+    let (dir, store) = tmp_store("old-layout");
+    store
+        .save(
+            "enum",
+            &Snapshot::new(200, old_layout_payload(&docs[..100], false)),
+        )
+        .unwrap();
+    let err = Supervisor::new(CrashPolicy::default())
+        .run(
+            &store,
+            "enum",
+            || EnumCampaign::new(&service, &policy, 32, Backend::Sequential),
+            true,
+        )
+        .unwrap_err();
+    assert!(
+        matches!(err, SuperviseError::Ckpt(CkptError::Corrupt(_))),
+        "{err:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
