@@ -1608,6 +1608,7 @@ mod tests {
         Backend::Streaming {
             workers: 2,
             capacity: 8,
+            batch: 4,
         },
         Backend::Async { concurrency: 8 },
     ];

@@ -1,50 +1,42 @@
 //! Smoke-sized concurrency sweep of the cooperative async backend,
-//! writing concurrency→wall-time plus executor counters to
-//! `BENCH_async.json` (override with `MINEDIG_BENCH_OUT`).
+//! writing concurrency→wall-time to `BENCH_async.json` (override with
+//! `MINEDIG_BENCH_OUT`).
 //!
-//! Outcomes are identical across concurrency levels by construction —
-//! every workload folds through the executor's reorder buffer — so only
-//! the timings and the scheduling counters vary. The headline column is
-//! `virtual_ms`: simulated network latency the timer wheel skips over
-//! instead of sleeping through, which is why the budget can be hundreds
-//! of tasks on a single thread.
+//! Every row runs through the same dispatch as the CLI: the scans
+//! through `zgrab_scan_range`/`chrome_scan_range` over the whole
+//! population, the §4.1 study through its supervised walk with a cadence
+//! that saves only the final snapshot. Outcomes are identical across
+//! concurrency levels by construction — every workload folds through the
+//! executor's reorder buffer — so only the timings vary. Simulated
+//! network latency is virtual: the timer wheel skips over it instead of
+//! sleeping through, which is why the budget can be hundreds of tasks on
+//! a single thread. Every time is the median of five runs.
 
-use minedig_bench::env_u64;
-use minedig_core::exec::{chrome_scan_async, zgrab_scan_async};
+use minedig_bench::{env_u64, median_secs};
+use minedig_core::exec::{chrome_scan_range, zgrab_scan_range};
 use minedig_core::scan::{build_reference_db, FetchModel};
-use minedig_core::shortlink_study::{run_study_async, StudyConfig};
-use minedig_primitives::aexec::{AsyncExecutor, AsyncStats};
+use minedig_core::shortlink_study::{run_study_supervised, StudyConfig};
+use minedig_primitives::ckpt::SnapshotStore;
+use minedig_primitives::supervise::{Backend, CrashPolicy, Supervisor};
 use minedig_shortlink::model::ModelConfig;
 use minedig_web::universe::Population;
 use minedig_web::zone::Zone;
-use std::hint::black_box;
 
 const CONCURRENCY_LEVELS: [usize; 4] = [1, 16, 64, 256];
-
-struct AsyncRunRow {
-    concurrency: usize,
-    secs: f64,
-    high_water: u64,
-    polls: u64,
-    timer_fires: u64,
-    virtual_ms: u64,
-}
 
 struct Workload {
     name: &'static str,
     items: u64,
-    runs: Vec<AsyncRunRow>,
+    /// Median seconds, one per entry of [`CONCURRENCY_LEVELS`].
+    secs: Vec<f64>,
 }
 
-fn row(stats: &AsyncStats) -> AsyncRunRow {
-    AsyncRunRow {
-        concurrency: stats.concurrency,
-        secs: stats.elapsed.as_secs_f64(),
-        high_water: stats.in_flight_high_water,
-        polls: stats.polls,
-        timer_fires: stats.timer_fires,
-        virtual_ms: stats.virtual_ms,
-    }
+/// Median seconds of `run` at every concurrency level.
+fn sweep<T>(mut run: impl FnMut(Backend) -> T) -> Vec<f64> {
+    CONCURRENCY_LEVELS
+        .iter()
+        .map(|&concurrency| median_secs(|| run(Backend::Async { concurrency })).1)
+        .collect()
 }
 
 fn main() {
@@ -53,39 +45,22 @@ fn main() {
 
     // §3.1: zgrab fetch → NoCoin match as cooperative tasks.
     let population = Population::generate(Zone::Org, seed, 20_000);
-    let domains = (population.artifacts.len() + population.clean_sample.len()) as u64;
+    let domains = population.artifacts.len() + population.clean_sample.len();
     let model = FetchModel::default();
-    let mut runs = Vec::new();
-    for concurrency in CONCURRENCY_LEVELS {
-        let run = zgrab_scan_async(&population, seed, &model, &AsyncExecutor::new(concurrency));
-        black_box(&run.outcome);
-        runs.push(row(&run.stats));
-    }
     workloads.push(Workload {
         name: "zgrab_scan",
-        items: domains,
-        runs,
+        items: domains as u64,
+        secs: sweep(|backend| zgrab_scan_range(&population, 0..domains, seed, &model, &backend)),
     });
 
     // §3.2: chrome load → Wasm fingerprint on the same fan-out.
     let db = build_reference_db(0.7);
-    let mut runs = Vec::new();
-    for concurrency in CONCURRENCY_LEVELS {
-        let run = chrome_scan_async(
-            &population,
-            &db,
-            seed,
-            &model,
-            None,
-            &AsyncExecutor::new(concurrency),
-        );
-        black_box(&run.outcome);
-        runs.push(row(&run.stats));
-    }
     workloads.push(Workload {
         name: "chrome_scan",
-        items: domains,
-        runs,
+        items: domains as u64,
+        secs: sweep(|backend| {
+            chrome_scan_range(&population, 0..domains, &db, seed, &model, None, &backend)
+        }),
     });
 
     // §4.1: the enumerate→resolve study over the async walk.
@@ -97,35 +72,33 @@ fn main() {
         },
         ..StudyConfig::default()
     };
-    let mut items = 0u64;
-    let mut runs = Vec::new();
-    for concurrency in CONCURRENCY_LEVELS {
-        let run = run_study_async(&config, seed, &AsyncExecutor::new(concurrency));
+    let dir = std::env::temp_dir().join(format!("minedig-bench-async-{}", std::process::id()));
+    let supervisor = Supervisor::new(CrashPolicy {
+        ckpt_every_items: u64::MAX,
+        ..CrashPolicy::default()
+    });
+    let mut items = 0;
+    let secs = sweep(|backend| {
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SnapshotStore::open(&dir).expect("open snapshot store");
+        let run = run_study_supervised(&config, seed, &store, "study", &supervisor, backend, false)
+            .expect("supervised study");
         items = run.result.enumeration.probed;
-        black_box(&run.result);
-        runs.push(row(&run.enum_stats));
-    }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
     workloads.push(Workload {
         name: "enumerate_resolve",
         items,
-        runs,
+        secs,
     });
 
     // Human summary…
     for w in &workloads {
         println!("{} ({} items):", w.name, w.items);
-        let base = w.runs[0].secs;
-        for r in &w.runs {
+        for (concurrency, secs) in CONCURRENCY_LEVELS.iter().zip(&w.secs) {
             println!(
-                "  {} in flight: {:.3}s (vs sequential {:.2}x), high water {}, \
-                 {} polls, {} timer fires, {}ms virtual",
-                r.concurrency,
-                r.secs,
-                base / r.secs.max(1e-9),
-                r.high_water,
-                r.polls,
-                r.timer_fires,
-                r.virtual_ms,
+                "  {concurrency} in flight: {secs:.3}s (vs 1 in flight {:.2}x)",
+                w.secs[0] / secs.max(1e-9),
             );
         }
     }
@@ -133,25 +106,18 @@ fn main() {
     // …and the machine-readable map.
     let mut json = String::from("{\n  \"workloads\": [\n");
     for (i, w) in workloads.iter().enumerate() {
+        let runs: Vec<String> = CONCURRENCY_LEVELS
+            .iter()
+            .zip(&w.secs)
+            .map(|(concurrency, secs)| {
+                format!("{{\"concurrency\": {concurrency}, \"secs\": {secs:.6}}}")
+            })
+            .collect();
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"items\": {}, \"runs\": [",
-            w.name, w.items
-        ));
-        for (j, r) in w.runs.iter().enumerate() {
-            json.push_str(&format!(
-                "{{\"concurrency\": {}, \"secs\": {:.6}, \"high_water\": {}, \
-                 \"polls\": {}, \"timer_fires\": {}, \"virtual_ms\": {}}}{}",
-                r.concurrency,
-                r.secs,
-                r.high_water,
-                r.polls,
-                r.timer_fires,
-                r.virtual_ms,
-                if j + 1 == w.runs.len() { "" } else { ", " }
-            ));
-        }
-        json.push_str(&format!(
-            "]}}{}\n",
+            "    {{\"name\": \"{}\", \"items\": {}, \"runs\": [{}]}}{}\n",
+            w.name,
+            w.items,
+            runs.join(", "),
             if i + 1 == workloads.len() { "" } else { "," }
         ));
     }

@@ -11,11 +11,11 @@
 //! (default 2.0 — generous on purpose: CI runners are noisy, and the
 //! gate exists to catch order-of-magnitude rot, not jitter).
 //!
-//! The checkpoint counts in [`EXACT_KEYS`] are deterministic for a
-//! given seed, so they are gated exactly: any change to a checkpoint
-//! count, a snapshot size or the bytes written is a diff to explain
-//! (and a baseline to regenerate), never a note. Other non-time fields
-//! are not compared.
+//! The counts in [`EXACT_KEYS`] are deterministic for a given seed, so
+//! they are gated exactly: any change to a checkpoint count, a snapshot
+//! size, the bytes written, a poll or retry count or a workload's item
+//! count is a diff to explain (and a baseline to regenerate), never a
+//! note. Other non-time fields are not compared.
 //!
 //! Fields present on only one side are reported but never fail the
 //! gate, so adding a workload does not require regenerating every
@@ -27,13 +27,20 @@ use minedig_net::json::Value;
 const DEFAULT_THRESHOLD: f64 = 2.0;
 
 /// Keys whose values must equal the baseline exactly: the supervision
-/// counts `bench_ckpt_smoke` writes into `BENCH_checkpoint.json`.
-const EXACT_KEYS: [&str; 5] = [
+/// counts of `BENCH_checkpoint.json`, the poll accounting of
+/// `BENCH_health.json`, and every workload's item count.
+const EXACT_KEYS: [&str; 11] = [
     "checkpoints",
     "snapshot_bytes",
     "bytes_written",
     "crashes",
     "items_redone",
+    "polls",
+    "answered",
+    "retries",
+    "quarantined",
+    "saved",
+    "items",
 ];
 
 struct Gate {
@@ -172,7 +179,7 @@ mod tests {
             r#"{"runs": [{"secs": 1.0, "checkpoints": 10, "snapshot_bytes": 500, "items": 7}]}"#;
         let same = gate(base, base);
         assert!(same.regressions.is_empty());
-        assert_eq!((same.compared, same.exact), (1, 2));
+        assert_eq!((same.compared, same.exact), (1, 3));
         // One byte more in a snapshot fails even though time improved…
         let grown =
             r#"{"runs": [{"secs": 0.5, "checkpoints": 10, "snapshot_bytes": 501, "items": 7}]}"#;
@@ -183,10 +190,30 @@ mod tests {
         let shrunk =
             r#"{"runs": [{"secs": 1.0, "checkpoints": 10, "snapshot_bytes": 499, "items": 7}]}"#;
         assert_eq!(gate(base, shrunk).regressions.len(), 1);
+    }
+
+    #[test]
+    fn poll_and_item_counts_must_match_exactly() {
+        let base = r#"{"items": 7, "runs": [{"secs": 1.0, "polls": 64, "answered": 48,
+            "retries": 16, "quarantined": 3, "shards": 2}], "retries_saved": [{"saved": 5}]}"#;
+        let same = gate(base, base);
+        assert!(same.regressions.is_empty());
+        assert_eq!((same.compared, same.exact), (1, 6));
+        for (key, from, to) in [
+            ("items", "\"items\": 7", "\"items\": 8"),
+            ("polls", "\"polls\": 64", "\"polls\": 63"),
+            ("answered", "\"answered\": 48", "\"answered\": 49"),
+            ("retries", "\"retries\": 16", "\"retries\": 15"),
+            ("quarantined", "\"quarantined\": 3", "\"quarantined\": 4"),
+            ("saved", "\"saved\": 5", "\"saved\": 6"),
+        ] {
+            let g = gate(base, &base.replace(from, to));
+            assert_eq!(g.regressions.len(), 1, "{key}: {:?}", g.regressions);
+            assert!(g.regressions[0].contains(key));
+        }
         // Other non-time fields stay ungated.
-        let other =
-            r#"{"runs": [{"secs": 1.0, "checkpoints": 10, "snapshot_bytes": 500, "items": 9}]}"#;
-        assert!(gate(base, other).regressions.is_empty());
+        let other = base.replace("\"shards\": 2", "\"shards\": 4");
+        assert!(gate(base, &other).regressions.is_empty());
     }
 
     #[test]

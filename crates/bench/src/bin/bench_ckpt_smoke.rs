@@ -2,11 +2,12 @@
 //! wall-time plus supervision counters to `BENCH_checkpoint.json`
 //! (override with `MINEDIG_BENCH_OUT`).
 //!
-//! Each workload runs once unsupervised (the overhead baseline), then
+//! Each workload runs unsupervised (the overhead baseline), then
 //! supervised at several checkpoint cadences with two simulated kills
 //! injected — so the recorded times include snapshot encoding, the
 //! appended records and new-base rewrites, restore-on-restart, and the
-//! redone tail items.
+//! redone tail items. Every time is the median of five runs, each
+//! supervised run into a freshly emptied snapshot directory.
 //! Every supervised outcome is asserted bit-identical to the baseline
 //! before its row is emitted: a bench that drifted from the
 //! correctness contract would be measuring the wrong thing.
@@ -21,7 +22,7 @@
 //! count in a row is deterministic, and `bench_check` gates them
 //! exactly.
 
-use minedig_bench::env_u64;
+use minedig_bench::{env_u64, median_secs};
 use minedig_core::campaign::ZgrabCampaign;
 use minedig_core::scan::{zgrab_scan_with, FetchModel};
 use minedig_core::shortlink_study::{run_study, run_study_supervised, StudyConfig};
@@ -30,8 +31,6 @@ use minedig_primitives::supervise::{Backend, CrashPolicy, Supervisor};
 use minedig_shortlink::model::ModelConfig;
 use minedig_web::universe::Population;
 use minedig_web::zone::Zone;
-use std::hint::black_box;
-use std::time::Instant;
 
 const CADENCES: [u64; 3] = [16, 64, 256];
 
@@ -52,11 +51,15 @@ struct Workload {
     rows: Vec<Row>,
 }
 
-fn store_for(tag: &str) -> (std::path::PathBuf, SnapshotStore) {
-    let dir = std::env::temp_dir().join(format!("minedig-bench-ckpt-{tag}-{}", std::process::id()));
+fn dir_for(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("minedig-bench-ckpt-{tag}-{}", std::process::id()))
+}
+
+/// A snapshot store over a freshly emptied directory.
+fn fresh_store(tag: &str) -> SnapshotStore {
+    let dir = dir_for(tag);
     let _ = std::fs::remove_dir_all(&dir);
-    let store = SnapshotStore::open(&dir).expect("open snapshot store");
-    (dir, store)
+    SnapshotStore::open(&dir).expect("open snapshot store")
 }
 
 fn main() {
@@ -69,11 +72,10 @@ fn main() {
     let model = FetchModel::default();
     let kills = vec![items / 3, (2 * items) / 3];
 
-    let start = Instant::now();
-    let baseline = zgrab_scan_with(&population, seed, &model);
+    let (baseline, secs) = median_secs(|| zgrab_scan_with(&population, seed, &model));
     let mut rows = vec![Row {
         every: 0,
-        secs: start.elapsed().as_secs_f64(),
+        secs,
         checkpoints: 0,
         snapshot_bytes: 0,
         bytes_written: 0,
@@ -81,24 +83,23 @@ fn main() {
         items_redone: 0,
     }];
     for every in CADENCES {
-        let (dir, store) = store_for(&format!("zgrab-{every}"));
         let sup = Supervisor::new(CrashPolicy {
             ckpt_every_items: every,
             ..CrashPolicy::default()
         })
         .with_kills(kills.clone());
-        let start = Instant::now();
-        let run = sup
-            .run(
+        let tag = format!("zgrab-{every}");
+        let (run, secs) = median_secs(|| {
+            let store = fresh_store(&tag);
+            sup.run(
                 &store,
                 "zgrab",
                 || ZgrabCampaign::new(&population, seed, &model, Backend::Sequential),
                 false,
             )
-            .expect("supervised zgrab");
-        let secs = start.elapsed().as_secs_f64();
+            .expect("supervised zgrab")
+        });
         assert_eq!(run.output, baseline, "supervised scan drifted");
-        black_box(&run.output);
         rows.push(Row {
             every,
             secs,
@@ -108,7 +109,7 @@ fn main() {
             crashes: u64::from(run.report.crashes),
             items_redone: run.report.items_lost,
         });
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(dir_for(&tag));
     }
     workloads.push(Workload {
         name: "zgrab_scan",
@@ -129,13 +130,12 @@ fn main() {
         },
         ..StudyConfig::default()
     };
-    let start = Instant::now();
-    let reference = run_study(&config, seed);
+    let (reference, secs) = median_secs(|| run_study(&config, seed));
     let probed = reference.enumeration.probed;
     let study_kills = vec![probed / 3, (2 * probed) / 3];
     let mut rows = vec![Row {
         every: 0,
-        secs: start.elapsed().as_secs_f64(),
+        secs,
         checkpoints: 0,
         snapshot_bytes: 0,
         bytes_written: 0,
@@ -143,24 +143,25 @@ fn main() {
         items_redone: 0,
     }];
     for every in CADENCES {
-        let (dir, store) = store_for(&format!("study-{every}"));
         let sup = Supervisor::new(CrashPolicy {
             ckpt_every_items: every,
             ..CrashPolicy::default()
         })
         .with_kills(study_kills.clone());
-        let start = Instant::now();
-        let run = run_study_supervised(
-            &config,
-            seed,
-            &store,
-            "enum",
-            &sup,
-            Backend::Sequential,
-            false,
-        )
-        .expect("supervised study");
-        let secs = start.elapsed().as_secs_f64();
+        let tag = format!("study-{every}");
+        let (run, secs) = median_secs(|| {
+            let store = fresh_store(&tag);
+            run_study_supervised(
+                &config,
+                seed,
+                &store,
+                "enum",
+                &sup,
+                Backend::Sequential,
+                false,
+            )
+            .expect("supervised study")
+        });
         assert_eq!(
             run.result.enumeration.probed, reference.enumeration.probed,
             "supervised study drifted"
@@ -173,7 +174,6 @@ fn main() {
             run.result.hashes_spent, reference.hashes_spent,
             "supervised study drifted"
         );
-        black_box(&run.result);
         rows.push(Row {
             every,
             secs,
@@ -183,7 +183,7 @@ fn main() {
             crashes: u64::from(run.report.crashes),
             items_redone: run.report.items_lost,
         });
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(dir_for(&tag));
     }
     workloads.push(Workload {
         name: "enumerate_resolve",

@@ -18,15 +18,13 @@
 //! stay balanced.
 
 use minedig_analysis::poller::{FetchError, JobSource, Observer, PollPolicy};
-use minedig_bench::env_u64;
+use minedig_bench::{env_u64, median_secs, TIMING_RUNS};
 use minedig_chain::netsim::TipInfo;
 use minedig_chain::tx::Transaction;
 use minedig_pool::pool::{Pool, PoolConfig};
 use minedig_pool::protocol::Job;
 use minedig_primitives::health::HealthConfig;
 use minedig_primitives::Hash32;
-use std::hint::black_box;
-use std::time::Instant;
 
 /// Fractions of the endpoint inventory that never answer.
 const DEAD_FRACTIONS: [f64; 3] = [0.0, 0.25, 0.5];
@@ -79,26 +77,31 @@ struct Run {
 }
 
 fn run_config(seed: u64, dead_fraction: f64, health: bool) -> Run {
-    let pool = pool_with_tip();
-    let count = pool.endpoint_count();
-    let dead = (count as f64 * dead_fraction).round() as usize;
-    let source = DeadTail {
-        inner: pool,
-        dead_from: count - dead,
-    };
-    let mut observer = Observer::with_source(source, true, PollPolicy::default());
-    if health {
-        observer = observer.with_health(HealthConfig {
-            seed,
-            ..HealthConfig::default()
-        });
-    }
-    let start = Instant::now();
-    for t in (1_000..).step_by(10).take(SWEEPS) {
-        observer.poll_all(t);
-    }
-    let secs = start.elapsed().as_secs_f64();
-    black_box(observer.current_blob_count());
+    // Polling moves a pool's state, so every timed run gets a fresh
+    // one, built outside the timing.
+    let mut pools: Vec<Pool> = std::iter::repeat_with(pool_with_tip)
+        .take(TIMING_RUNS)
+        .collect();
+    let (observer, secs) = median_secs(|| {
+        let pool = pools.pop().expect("one pool per timed run");
+        let count = pool.endpoint_count();
+        let dead = (count as f64 * dead_fraction).round() as usize;
+        let source = DeadTail {
+            inner: pool,
+            dead_from: count - dead,
+        };
+        let mut observer = Observer::with_source(source, true, PollPolicy::default());
+        if health {
+            observer = observer.with_health(HealthConfig {
+                seed,
+                ..HealthConfig::default()
+            });
+        }
+        for t in (1_000..).step_by(10).take(SWEEPS) {
+            observer.poll_all(t);
+        }
+        observer
+    });
 
     let stats = observer.stats();
     assert!(stats.balanced(), "poll accounting must balance: {stats:?}");

@@ -2,13 +2,13 @@
 //! shortlink enumeration, endpoint polling), writing a shards→wall-time
 //! map to `BENCH_parallel.json` (override with `MINEDIG_BENCH_OUT`).
 //!
-//! This is the CI-friendly complement to the criterion benches: one
-//! timed pass per shard count, small populations, machine-readable
-//! output. Outcomes are identical across shard counts by construction,
-//! so only the timings vary.
+//! This is the CI-friendly complement to the criterion benches: the
+//! median of five timed passes per shard count, small populations,
+//! machine-readable output. Outcomes are identical across shard counts
+//! by construction, so only the timings vary.
 
 use minedig_analysis::poller::Observer;
-use minedig_bench::env_u64;
+use minedig_bench::{env_u64, median_secs};
 use minedig_chain::netsim::TipInfo;
 use minedig_chain::tx::Transaction;
 use minedig_core::exec::ScanExecutor;
@@ -20,8 +20,6 @@ use minedig_shortlink::model::{LinkPopulation, ModelConfig};
 use minedig_shortlink::service::ShortlinkService;
 use minedig_web::universe::Population;
 use minedig_web::zone::Zone;
-use std::hint::black_box;
-use std::time::Instant;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -30,12 +28,6 @@ struct Workload {
     items: u64,
     /// (shards, wall seconds), one entry per shard count.
     runs: Vec<(usize, f64)>,
-}
-
-fn time<F: FnMut()>(mut f: F) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64()
 }
 
 fn main() {
@@ -48,12 +40,7 @@ fn main() {
     let mut runs = Vec::new();
     for shards in SHARD_COUNTS {
         let executor = ScanExecutor::new(shards);
-        runs.push((
-            shards,
-            time(|| {
-                black_box(executor.zgrab(&population, seed));
-            }),
-        ));
+        runs.push((shards, median_secs(|| executor.zgrab(&population, seed)).1));
     }
     workloads.push(Workload {
         name: "zgrab_scan",
@@ -74,9 +61,7 @@ fn main() {
         let executor = ParallelExecutor::new(shards);
         runs.push((
             shards,
-            time(|| {
-                black_box(enumerate_links_sharded(&service, dead_run_limit, &executor));
-            }),
+            median_secs(|| enumerate_links_sharded(&service, dead_run_limit, &executor)).1,
         ));
     }
     workloads.push(Workload {
@@ -102,15 +87,18 @@ fn main() {
         let executor = ParallelExecutor::new(shards);
         runs.push((
             shards,
-            time(|| {
-                for _ in 0..20 {
-                    let mut obs = Observer::new(pool.clone(), true);
-                    for &t in &sweep {
-                        obs.poll_all_sharded(t, &executor);
-                    }
-                    black_box(obs.stats().answered);
-                }
-            }),
+            median_secs(|| {
+                (0..20)
+                    .map(|_| {
+                        let mut obs = Observer::new(pool.clone(), true);
+                        for &t in &sweep {
+                            obs.poll_all_sharded(t, &executor);
+                        }
+                        obs.stats().answered
+                    })
+                    .sum::<u64>()
+            })
+            .1,
         ));
     }
     workloads.push(Workload {

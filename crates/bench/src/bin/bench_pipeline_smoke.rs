@@ -1,29 +1,38 @@
 //! Smoke-sized barrier-vs-streaming comparison of the pipelined
-//! workloads, writing wall-clock, stage occupancy and fingerprint-cache
-//! hit rates to `BENCH_pipeline.json` (override with `MINEDIG_BENCH_OUT`).
+//! workloads, writing wall-clock and fingerprint-memo hit rates to
+//! `BENCH_pipeline.json` (override with `MINEDIG_BENCH_OUT`), plus a
+//! channel-hop batch sweep of the pipeline itself.
 //!
-//! "Barrier" means run each stage to completion before the next starts
-//! (the sequential/sharded executors); "streaming" pushes every item
-//! through all stages as it arrives, so stage N+1 begins while stage N
-//! is still producing. Outcomes are bit-identical by construction — the
-//! pipeline's reorder buffer folds in sequence order — so only the
-//! timings and the occupancy shape differ.
+//! "Barrier" means the sharded executor: each shard scans its chunk to
+//! completion before the merge. "Streaming" pushes every item through
+//! all stages as it arrives, so stage N+1 begins while stage N is still
+//! producing. Every scan row, barrier included, runs through the same
+//! range dispatch (`zgrab_scan_range`/`chrome_scan_range`) over the
+//! whole population, and every Chrome run gets a fresh fingerprint memo,
+//! so no row starts warm. The shortlink barrier is the batch study
+//! (enumerate everything, then resolve); its streaming rows run the
+//! supervised study, whose walk resolves the tail as it folds, with a
+//! cadence that saves only the final snapshot. Outcomes are
+//! bit-identical by construction, so only the timings differ. Every
+//! time is the median of five runs.
 
-use minedig_bench::env_u64;
-use minedig_core::exec::{chrome_scan_streaming, zgrab_scan_streaming, ScanExecutor};
+use minedig_bench::{env_u64, median_secs};
+use minedig_core::exec::{chrome_scan_range, zgrab_scan_range};
 use minedig_core::scan::{build_reference_db, FetchModel};
-use minedig_core::shortlink_study::{run_study, run_study_streaming, StudyConfig};
-use minedig_primitives::pipeline::{PipelineExecutor, PipelineStage, PipelineStats};
+use minedig_core::shortlink_study::{run_study, run_study_supervised, StudyConfig};
+use minedig_primitives::ckpt::SnapshotStore;
+use minedig_primitives::pipeline::{PipelineExecutor, PipelineStage};
+use minedig_primitives::supervise::{Backend, CrashPolicy, Supervisor};
 use minedig_shortlink::model::ModelConfig;
 use minedig_wasm::cache::FingerprintCache;
 use minedig_web::universe::Population;
 use minedig_web::zone::Zone;
-use std::hint::black_box;
 use std::ops::ControlFlow;
-use std::time::Instant;
 
 const WORKER_COUNTS: [usize; 3] = [2, 4, 8];
 const CAPACITY: usize = 128;
+/// Shards of the barrier scans.
+const BARRIER_SHARDS: usize = 8;
 
 /// Batch sizes for the channel-hop amortization sweep.
 const SWEEP_BATCHES: [usize; 4] = [1, 8, 64, 256];
@@ -54,37 +63,29 @@ struct SweepRun {
     hop_ms_saved: f64,
 }
 
-struct StreamRun {
-    workers: usize,
+/// One timed configuration; `hit_rate` is the fingerprint memo's, for
+/// the Chrome rows.
+struct Row {
     secs: f64,
-    overlapped: bool,
-    /// (occupancy, steals, backpressure waits) per processing stage.
-    stages: Vec<(f64, u64, u64)>,
+    hit_rate: Option<f64>,
 }
 
 struct Workload {
     name: &'static str,
     items: u64,
-    barrier_secs: f64,
-    streaming: Vec<StreamRun>,
+    /// Shards of the barrier run.
+    barrier_shards: usize,
+    barrier: Row,
+    /// One row per entry of [`WORKER_COUNTS`].
+    streaming: Vec<Row>,
 }
 
-fn time<T, F: FnMut() -> T>(mut f: F) -> (T, f64) {
-    let t0 = Instant::now();
-    let out = f();
-    (out, t0.elapsed().as_secs_f64())
-}
-
-fn stream_run(workers: usize, secs: f64, stats: &PipelineStats) -> StreamRun {
-    StreamRun {
+/// The streaming backend at `workers` with the pipeline's auto batch.
+fn streaming(workers: usize) -> Backend {
+    Backend::Streaming {
         workers,
-        secs,
-        overlapped: stats.strictly_overlapped(),
-        stages: stats
-            .stages
-            .iter()
-            .map(|s| (s.occupancy(stats.elapsed), s.steals, s.backpressure_waits))
-            .collect(),
+        capacity: CAPACITY,
+        batch: PipelineExecutor::new(workers, CAPACITY).batch(),
     }
 }
 
@@ -94,48 +95,54 @@ fn main() {
 
     // §3.1: zgrab fetch → NoCoin match, single processing stage.
     let population = Population::generate(Zone::Com, seed, 60_000);
-    let domains = (population.artifacts.len() + population.clean_sample.len()) as u64;
+    let domains = population.artifacts.len() + population.clean_sample.len();
     let model = FetchModel::default();
-    let (_, barrier_secs) =
-        time(|| black_box(ScanExecutor::new(8).zgrab_with(&population, seed, &model)));
-    let mut streaming = Vec::new();
-    for workers in WORKER_COUNTS {
-        let pipe = PipelineExecutor::new(workers, CAPACITY);
-        let (run, secs) = time(|| zgrab_scan_streaming(&population, seed, &model, &pipe));
-        black_box(&run.outcome);
-        streaming.push(stream_run(workers, secs, &run.stats));
-    }
+    let zgrab = |backend: Backend| Row {
+        secs: median_secs(|| zgrab_scan_range(&population, 0..domains, seed, &model, &backend)).1,
+        hit_rate: None,
+    };
     workloads.push(Workload {
         name: "zgrab_scan",
-        items: domains,
-        barrier_secs,
-        streaming,
+        items: domains as u64,
+        barrier_shards: BARRIER_SHARDS,
+        barrier: zgrab(Backend::Sharded(BARRIER_SHARDS)),
+        streaming: WORKER_COUNTS.map(|w| zgrab(streaming(w))).into(),
     });
 
-    // §3.2: chrome fetch → Wasm fingerprint, two stages sharing the
-    // content-addressed fingerprint memo.
+    // §3.2: chrome fetch → Wasm fingerprint, two stages sharing a
+    // content-addressed fingerprint memo that starts cold on every run.
     let db = build_reference_db(0.7);
-    let (_, barrier_secs) =
-        time(|| black_box(ScanExecutor::new(8).chrome_with(&population, &db, seed, &model)));
-    let cache = FingerprintCache::new();
-    let mut streaming = Vec::new();
-    for workers in WORKER_COUNTS {
-        let pipe = PipelineExecutor::new(workers, CAPACITY);
-        let (run, secs) =
-            time(|| chrome_scan_streaming(&population, &db, seed, &model, Some(&cache), &pipe));
-        black_box(&run.outcome);
-        streaming.push(stream_run(workers, secs, &run.stats));
-    }
+    let chrome = |backend: Backend| {
+        let ((_, cache), secs) = median_secs(|| {
+            let cache = FingerprintCache::new();
+            let range = 0..domains;
+            let out = chrome_scan_range(
+                &population,
+                range,
+                &db,
+                seed,
+                &model,
+                Some(&cache),
+                &backend,
+            );
+            (out, cache)
+        });
+        Row {
+            secs,
+            hit_rate: Some(cache.hit_rate()),
+        }
+    };
     workloads.push(Workload {
         name: "chrome_scan",
-        items: domains,
-        barrier_secs,
-        streaming,
+        items: domains as u64,
+        barrier_shards: BARRIER_SHARDS,
+        barrier: chrome(Backend::Sharded(BARRIER_SHARDS)),
+        streaming: WORKER_COUNTS.map(|w| chrome(streaming(w))).into(),
     });
 
     // §4.1: shortlink enumerate → resolve. Barrier = the batch study
-    // (enumerate everything, then resolve); streaming overlaps
-    // resolution with the ID-space walk.
+    // (enumerate everything, then resolve); the streaming walk resolves
+    // each tail link as the fold reaches it.
     let config = StudyConfig {
         model: ModelConfig {
             total_links: 120_000,
@@ -144,26 +151,37 @@ fn main() {
         },
         ..StudyConfig::default()
     };
-    let (batch, barrier_secs) = time(|| run_study(&config, seed));
-    let items = batch.enumeration.probed;
-    black_box(&batch);
-    let mut streaming = Vec::new();
-    for workers in WORKER_COUNTS {
-        let pipe = PipelineExecutor::new(workers, CAPACITY);
-        let (streamed, secs) = time(|| run_study_streaming(&config, seed, &pipe));
-        black_box(&streamed.result);
-        let mut run = stream_run(workers, secs, &streamed.enum_stats);
-        // The resolver is the pipeline's second stage; the headline is
-        // whether resolution began before the last probe.
-        run.overlapped = streamed.overlapped();
-        streaming.push(run);
-    }
+    let (batch, barrier_secs) = median_secs(|| run_study(&config, seed));
+    let dir = std::env::temp_dir().join(format!("minedig-bench-pipe-{}", std::process::id()));
+    let supervisor = Supervisor::new(CrashPolicy {
+        ckpt_every_items: u64::MAX,
+        ..CrashPolicy::default()
+    });
+    let study = |backend: Backend| {
+        let (run, secs) = median_secs(|| {
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = SnapshotStore::open(&dir).expect("open snapshot store");
+            run_study_supervised(&config, seed, &store, "study", &supervisor, backend, false)
+                .expect("supervised study")
+        });
+        assert_eq!(run.result.enumeration.docs, batch.enumeration.docs);
+        assert_eq!(run.result.hashes_spent, batch.hashes_spent);
+        Row {
+            secs,
+            hit_rate: None,
+        }
+    };
     workloads.push(Workload {
         name: "enumerate_resolve",
-        items,
-        barrier_secs,
-        streaming,
+        items: batch.enumeration.probed,
+        barrier_shards: config.enum_shards,
+        barrier: Row {
+            secs: barrier_secs,
+            hit_rate: None,
+        },
+        streaming: WORKER_COUNTS.map(|w| study(streaming(w))).into(),
     });
+    let _ = std::fs::remove_dir_all(&dir);
 
     // Channel-hop amortization: the same 100k-item walk through a
     // near-free stage at increasing batch sizes. Messages shrink ~1/batch
@@ -172,7 +190,7 @@ fn main() {
     let mut reference = None;
     for batch in SWEEP_BATCHES {
         let pipe = PipelineExecutor::new(4, CAPACITY).with_batch(batch);
-        let (run, secs) = time(|| {
+        let (run, secs) = median_secs(|| {
             pipe.run(0..SWEEP_ITEMS, &HopStage, 0u64, |acc, v| {
                 *acc = acc.wrapping_add(v);
                 ControlFlow::Continue(())
@@ -180,7 +198,6 @@ fn main() {
         });
         let outcome = *reference.get_or_insert(run.outcome);
         assert_eq!(run.outcome, outcome, "batching changed the fold");
-        black_box(run.outcome);
         sweep.push(SweepRun {
             batch,
             secs,
@@ -191,35 +208,18 @@ fn main() {
     }
 
     // Human summary…
+    let memo = |r: &Row| {
+        r.hit_rate
+            .map(|h| format!(", memo hit rate {:.1}%", h * 100.0))
+            .unwrap_or_default()
+    };
     for w in &workloads {
         println!("{} ({} items):", w.name, w.items);
-        println!("  barrier: {:.3}s", w.barrier_secs);
-        for r in &w.streaming {
-            let occ: Vec<String> = r
-                .stages
-                .iter()
-                .map(|(o, st, bp)| format!("{:.0}% (steals {st}, waits {bp})", o * 100.0))
-                .collect();
-            println!(
-                "  streaming x{}: {:.3}s ({}, occupancy {})",
-                r.workers,
-                r.secs,
-                if r.overlapped {
-                    "overlapped"
-                } else {
-                    "serialized"
-                },
-                occ.join(" / ")
-            );
+        println!("  barrier: {:.3}s{}", w.barrier.secs, memo(&w.barrier));
+        for (workers, r) in WORKER_COUNTS.iter().zip(&w.streaming) {
+            println!("  streaming x{workers}: {:.3}s{}", r.secs, memo(r));
         }
     }
-    println!(
-        "fingerprint cache: {} hits / {} misses ({:.1}% hit rate, {} modules)",
-        cache.hits(),
-        cache.misses(),
-        cache.hit_rate() * 100.0,
-        cache.entries()
-    );
     println!("batch sweep ({SWEEP_ITEMS} items, 4 workers):");
     let base_messages = sweep[0].messages;
     for r in &sweep {
@@ -235,33 +235,27 @@ fn main() {
     }
 
     // …and the machine-readable map.
+    let row = |key: &str, n: usize, r: &Row| {
+        let hit = r.hit_rate.map(|h| format!(", \"hit_rate\": {h:.4}"));
+        format!(
+            "{{\"{key}\": {n}, \"secs\": {:.6}{}}}",
+            r.secs,
+            hit.unwrap_or_default()
+        )
+    };
     let mut json = String::from("{\n  \"workloads\": [\n");
     for (i, w) in workloads.iter().enumerate() {
+        let streaming: Vec<String> = WORKER_COUNTS
+            .iter()
+            .zip(&w.streaming)
+            .map(|(&workers, r)| row("workers", workers, r))
+            .collect();
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"items\": {}, \"barrier_secs\": {:.6}, \"streaming\": [",
-            w.name, w.items, w.barrier_secs
-        ));
-        for (j, r) in w.streaming.iter().enumerate() {
-            let stages: Vec<String> = r
-                .stages
-                .iter()
-                .map(|(o, st, bp)| {
-                    format!(
-                        "{{\"occupancy\": {o:.4}, \"steals\": {st}, \"backpressure_waits\": {bp}}}"
-                    )
-                })
-                .collect();
-            json.push_str(&format!(
-                "{{\"workers\": {}, \"secs\": {:.6}, \"overlapped\": {}, \"stages\": [{}]}}{}",
-                r.workers,
-                r.secs,
-                r.overlapped,
-                stages.join(", "),
-                if j + 1 == w.streaming.len() { "" } else { ", " }
-            ));
-        }
-        json.push_str(&format!(
-            "]}}{}\n",
+            "    {{\"name\": \"{}\", \"items\": {}, \"barrier\": {}, \"streaming\": [{}]}}{}\n",
+            w.name,
+            w.items,
+            row("shards", w.barrier_shards, &w.barrier),
+            streaming.join(", "),
             if i + 1 == workloads.len() { "" } else { "," }
         ));
     }
@@ -275,16 +269,9 @@ fn main() {
         })
         .collect();
     json.push_str(&format!(
-        "  ],\n  \"batch_sweep\": {{\"items\": {}, \"workers\": 4, \"runs\": [{}]}},\n",
+        "  ],\n  \"batch_sweep\": {{\"items\": {}, \"workers\": 4, \"runs\": [{}]}}\n}}\n",
         SWEEP_ITEMS,
         sweep_json.join(", ")
-    ));
-    json.push_str(&format!(
-        "  \"fingerprint_cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}, \"entries\": {}}}\n}}\n",
-        cache.hits(),
-        cache.misses(),
-        cache.hit_rate(),
-        cache.entries()
     ));
     let out = std::env::var("MINEDIG_BENCH_OUT").unwrap_or_else(|_| "BENCH_pipeline.json".into());
     std::fs::write(&out, json).expect("write bench output");

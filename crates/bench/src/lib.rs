@@ -16,6 +16,8 @@ use minedig_core::scan::{build_reference_db, ChromeScanOutcome};
 use minedig_wasm::sigdb::SignatureDb;
 use minedig_web::universe::Population;
 use minedig_web::zone::Zone;
+use std::hint::black_box;
+use std::time::Instant;
 
 /// Reads a `u64` knob from the environment.
 pub fn env_u64(name: &str, default: u64) -> u64 {
@@ -23,6 +25,27 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// Timed runs per configuration in the smoke benches.
+pub const TIMING_RUNS: usize = 5;
+
+/// Runs `f` [`TIMING_RUNS`] times and returns the last run's output with the
+/// median wall time in seconds. A single run of a 5–100 ms
+/// configuration can swing 2× on a shared host; the median of five is
+/// what the smoke benches record and `bench_check` gates.
+pub fn median_secs<T>(mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut secs = Vec::with_capacity(TIMING_RUNS);
+    let mut out = None;
+    for _ in 0..TIMING_RUNS {
+        let t0 = Instant::now();
+        let run = black_box(f());
+        secs.push(t0.elapsed().as_secs_f64());
+        // The previous run's output drops here, outside the timing.
+        out = Some(run);
+    }
+    secs.sort_by(f64::total_cmp);
+    (out.expect("at least one timed run"), secs[TIMING_RUNS / 2])
 }
 
 /// The experiment seed.
@@ -114,6 +137,17 @@ mod tests {
         assert_eq!(fmt_date(1_525_564_800), "2018-05-06");
         assert_eq!(fmt_date(1_530_403_200), "2018-07-01");
         assert_eq!(fmt_date(951_782_400), "2000-02-29");
+    }
+
+    #[test]
+    fn median_secs_keeps_the_last_output() {
+        let mut calls = 0;
+        let (last, secs) = median_secs(|| {
+            calls += 1;
+            calls
+        });
+        assert_eq!((last, calls), (5, 5));
+        assert!(secs >= 0.0);
     }
 
     #[test]

@@ -335,7 +335,7 @@ impl Campaign for ZgrabCampaign<'_> {
     }
 
     fn run_items(&mut self, budget: u64, heartbeat: &AtomicU64) {
-        let end = (self.cursor + budget).min(self.total_items());
+        let end = self.cursor.saturating_add(budget).min(self.total_items());
         if end == self.cursor {
             return;
         }
@@ -372,8 +372,9 @@ pub struct ChromeCampaign<'a> {
 }
 
 impl<'a> ChromeCampaign<'a> {
-    /// A fresh campaign at cursor 0. `cache` is used by the streaming
-    /// and async backends (the sharded kernel keeps its own path).
+    /// A fresh campaign at cursor 0. `cache`, when given, is the
+    /// fingerprint memo every backend consults (it stores pure
+    /// per-module fingerprints, so it never changes an outcome).
     pub fn new(
         population: &'a Population,
         db: &'a SignatureDb,
@@ -436,7 +437,7 @@ impl Campaign for ChromeCampaign<'_> {
     }
 
     fn run_items(&mut self, budget: u64, heartbeat: &AtomicU64) {
-        let end = (self.cursor + budget).min(self.total_items());
+        let end = self.cursor.saturating_add(budget).min(self.total_items());
         if end == self.cursor {
             return;
         }
@@ -538,6 +539,7 @@ mod tests {
             Backend::Streaming {
                 workers: 2,
                 capacity: 8,
+                batch: 3,
             },
             Backend::Async { concurrency: 16 },
         ] {
@@ -560,6 +562,36 @@ mod tests {
             assert!(run.report.balanced(), "{:?}", run.report);
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn an_unbounded_budget_finishes_a_resumed_scan() {
+        let pop = Population::generate(Zone::Org, 42, 30);
+        let db = build_reference_db(0.7);
+        let model = FetchModel::default();
+        let hb = AtomicU64::new(0);
+        let mut zgrab = ZgrabCampaign::new(&pop, 1, &model, Backend::Sequential);
+        zgrab.run_items(7, &hb);
+        let mut resumed = ZgrabCampaign::new(&pop, 1, &model, Backend::Sharded(2));
+        resumed.restore(&zgrab.snapshot()).unwrap();
+        resumed.run_items(u64::MAX, &hb);
+        assert!(resumed.is_done());
+        assert_eq!(resumed.finish(), zgrab_scan(&pop, 1));
+
+        let mut chrome = ChromeCampaign::new(&pop, &db, 1, &model, None, Backend::Sequential);
+        chrome.run_items(7, &hb);
+        let mut resumed = ChromeCampaign::new(
+            &pop,
+            &db,
+            1,
+            &model,
+            None,
+            Backend::Async { concurrency: 8 },
+        );
+        resumed.restore(&chrome.snapshot()).unwrap();
+        resumed.run_items(u64::MAX, &hb);
+        assert!(resumed.is_done());
+        assert_eq!(resumed.finish(), chrome_scan(&pop, &db, 1));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Parallel sharded scan executor.
+//! Scan executors: the sharded [`ScanExecutor`] and the range dispatch.
 //!
 //! The paper's crawls cover whole TLD zones (§3: "we scanned *all*
 //! domains within .com/.net/.org"); at that scale a single-threaded pass
@@ -7,30 +7,38 @@
 //! scoped thread with the shard kernels from [`crate::scan`], and folds
 //! the partial outcomes back together in shard-index order.
 //!
-//! Since PR 2 the chunk/spawn/merge machinery is the workspace-generic
+//! [`zgrab_scan_range`] and [`chrome_scan_range`] are the one place a
+//! scan picks an executor: they scan a sub-range of a population's scan
+//! order on any [`Backend`] — sequential, sharded, streaming pipeline or
+//! cooperative async. The checkpointed campaigns in [`crate::campaign`]
+//! call them chunk by chunk, and the CLI's unsupervised scan calls them
+//! once over the whole population.
+//!
+//! The chunk/spawn/merge machinery is the workspace-generic
 //! [`ParallelExecutor`] from `minedig_primitives::par` (shared with the
-//! §4.1 shortlink enumerator and the §4.2 endpoint poller); this module
-//! keeps the scan-shaped API on top: a population is one index space
-//! covering its artifact domains followed by its clean sample, so one
-//! contiguous chunking balances both slices across shards.
+//! §4.1 shortlink enumerator and the §4.2 endpoint poller); a
+//! population is one index space covering its artifact domains followed
+//! by its clean sample, so one contiguous chunking balances both slices
+//! across shards.
 //!
 //! ## Determinism
 //!
-//! The parallel run is **bit-identical** to the sequential run for the
-//! same seed, for any shard count. Two properties make this cheap:
+//! Every backend is **bit-identical** to the sequential run for the
+//! same seed, for any shard count, worker count, batch size or
+//! concurrency. Two properties make this cheap:
 //!
 //! 1. Every domain derives its randomness from `(seed, domain name)` —
 //!    never from a shared sequential RNG — so *where* a domain is scanned
 //!    cannot change *what* is scanned. This per-domain derivation
 //!    subsumes a per-shard `(seed, shard index)` scheme: shard boundaries
 //!    can move freely without perturbing any domain's draw.
-//! 2. Shards are contiguous slices merged in shard-index order, and
+//! 2. Every backend folds in population order, and
 //!    [`merge`](crate::scan::ZgrabScanOutcome::merge) is additive on
 //!    counters (order-independent) while ref vectors concatenate — so the
 //!    merged ref order equals the sequential scan order exactly.
 //!
-//! The equivalence is enforced by proptests in `tests/` (shards 1–16,
-//! random seeds and zone sizes, both scan kinds).
+//! The equivalence is enforced by proptests in `tests/` (every backend,
+//! random seeds, zone sizes and fault plans, both scan kinds).
 
 use crate::scan::{
     chrome_classify_domain, chrome_fetch_domain, chrome_fold, chrome_scan_shard_cached,
@@ -39,9 +47,9 @@ use crate::scan::{
     FetchModel, ZgrabProbeCtx, ZgrabScanOutcome, ZgrabVerdict,
 };
 use minedig_nocoin::NoCoinEngine;
-use minedig_primitives::aexec::{AsyncExecutor, AsyncRun};
+use minedig_primitives::aexec::AsyncExecutor;
 use minedig_primitives::par::{ExecRun, ParallelExecutor, ShardedTask};
-use minedig_primitives::pipeline::{PipelineExecutor, PipelineRun, PipelineStage};
+use minedig_primitives::pipeline::{PipelineExecutor, PipelineStage};
 use minedig_primitives::supervise::Backend;
 use minedig_wasm::cache::FingerprintCache;
 use minedig_wasm::sigdb::SignatureDb;
@@ -252,161 +260,6 @@ impl<'a> PipelineStage for ChromeClassifyStage<'a> {
     }
 }
 
-/// Iterates a population in scan order: artifact domains, then the
-/// clean sample, each tagged with its clean flag.
-fn population_items(population: &Population) -> impl Iterator<Item = (&Domain, bool)> + Send {
-    population
-        .artifacts
-        .iter()
-        .map(|d| (d, false))
-        .chain(population.clean_sample.iter().map(|d| (d, true)))
-}
-
-/// Streaming zgrab + NoCoin scan (§3.1): probes overlap the fold rather
-/// than running chunk-then-barrier. Bit-identical to
-/// [`crate::scan::zgrab_scan_with`] for any worker count and channel
-/// capacity — the probe is keyed by `(seed, domain name)` and the sink
-/// folds in population order.
-pub fn zgrab_scan_streaming(
-    population: &Population,
-    seed: u64,
-    model: &FetchModel,
-    pipe: &PipelineExecutor,
-) -> PipelineRun<ZgrabScanOutcome> {
-    let engine = NoCoinEngine::new();
-    let ctx = ZgrabProbeCtx {
-        seed,
-        model,
-        engine: &engine,
-    };
-    let stage = ZgrabStage { ctx: &ctx };
-    let mut run = pipe.run(
-        population_items(population),
-        &stage,
-        ZgrabScanOutcome::empty(population.zone),
-        |acc, (verdict, clean)| {
-            zgrab_fold(acc, verdict, clean);
-            ControlFlow::Continue(())
-        },
-    );
-    run.outcome.total_domains = population.total;
-    run
-}
-
-/// Streaming instrumented-browser scan (§3.2): browser loads and Wasm
-/// classification run as two overlapped stages, so fingerprinting of
-/// early domains proceeds while later domains are still loading.
-/// Bit-identical to [`crate::scan::chrome_scan_with`] for any worker
-/// count and channel capacity, with or without the fingerprint memo
-/// (`cache` stores pure per-module fingerprints only).
-pub fn chrome_scan_streaming(
-    population: &Population,
-    db: &SignatureDb,
-    seed: u64,
-    model: &FetchModel,
-    cache: Option<&FingerprintCache>,
-    pipe: &PipelineExecutor,
-) -> PipelineRun<ChromeScanOutcome> {
-    let engine = NoCoinEngine::new();
-    let ctx = ChromeProbeCtx::new(seed, model, &engine, db, cache);
-    let fetch = ChromeFetchStage { ctx: &ctx };
-    let classify = ChromeClassifyStage { ctx: &ctx };
-    pipe.run2(
-        population_items(population),
-        &fetch,
-        &classify,
-        ChromeScanOutcome::empty(population.zone),
-        |acc, (verdict, clean)| {
-            chrome_fold(acc, verdict, clean);
-            ControlFlow::Continue(())
-        },
-    )
-}
-
-/// Async zgrab + NoCoin scan (§3.1): every domain becomes one
-/// cooperative task on the single-threaded executor, with up to the
-/// executor's concurrency budget in flight at once. The per-domain
-/// network wait is modeled as virtual latency ([`crawl_latency_ms`]), so
-/// a fleet of slow fetches overlaps instead of serializing — exactly how
-/// the paper's crawler keeps thousands of connections open per core.
-///
-/// Bit-identical to [`crate::scan::zgrab_scan_with`] for any
-/// concurrency, fault schedule, or poll order: the probe is keyed by
-/// `(seed, domain name)` and completions fold through the executor's
-/// reorder buffer in population order.
-pub fn zgrab_scan_async(
-    population: &Population,
-    seed: u64,
-    model: &FetchModel,
-    aexec: &AsyncExecutor,
-) -> AsyncRun<ZgrabScanOutcome> {
-    let engine = NoCoinEngine::new();
-    let ctx = ZgrabProbeCtx {
-        seed,
-        model,
-        engine: &engine,
-    };
-    let ctx = &ctx;
-    let mut run = aexec.run_ordered(
-        population_items(population),
-        |actx, (d, clean)| {
-            let delay = crawl_latency_ms(model, &d.name);
-            async move {
-                actx.sleep_ms(delay).await;
-                (zgrab_probe_domain(ctx, d), clean)
-            }
-        },
-        ZgrabScanOutcome::empty(population.zone),
-        |acc, (verdict, clean)| {
-            zgrab_fold(acc, verdict, clean);
-            ControlFlow::Continue(())
-        },
-    );
-    run.outcome.total_domains = population.total;
-    run
-}
-
-/// Async instrumented-browser scan (§3.2): the browser load awaits its
-/// virtual network latency while other domains' loads and
-/// classifications proceed on the same thread. All tasks share one
-/// scratch encode buffer (the executor polls one task at a time, and the
-/// buffer is never held across an await), so concurrency costs no
-/// per-task allocation.
-///
-/// Bit-identical to [`crate::scan::chrome_scan_with`] for any
-/// concurrency and fault schedule, with or without the fingerprint memo.
-pub fn chrome_scan_async(
-    population: &Population,
-    db: &SignatureDb,
-    seed: u64,
-    model: &FetchModel,
-    cache: Option<&FingerprintCache>,
-    aexec: &AsyncExecutor,
-) -> AsyncRun<ChromeScanOutcome> {
-    let engine = NoCoinEngine::new();
-    let ctx = ChromeProbeCtx::new(seed, model, &engine, db, cache);
-    let ctx = &ctx;
-    let scratch = Rc::new(RefCell::new(Vec::new()));
-    aexec.run_ordered(
-        population_items(population),
-        |actx, (d, clean)| {
-            let delay = crawl_latency_ms(model, &d.name);
-            let scratch = Rc::clone(&scratch);
-            async move {
-                actx.sleep_ms(delay).await;
-                let fetched = chrome_fetch_domain(ctx, d);
-                let verdict = chrome_classify_domain(ctx, d, fetched, &mut scratch.borrow_mut());
-                (verdict, clean)
-            }
-        },
-        ChromeScanOutcome::empty(population.zone),
-        |acc, (verdict, clean)| {
-            chrome_fold(acc, verdict, clean);
-            ControlFlow::Continue(())
-        },
-    )
-}
-
 /// Slices `range` of a population's scan order (artifact domains, then
 /// the clean sample) into its artifact and clean sub-slices.
 fn slice_range<'a>(
@@ -415,7 +268,8 @@ fn slice_range<'a>(
 ) -> (&'a [Domain], &'a [Domain]) {
     let split = population.artifacts.len();
     let len = split + population.clean_sample.len();
-    let (start, end) = (range.start.min(len), range.end.min(len).max(range.start));
+    let start = range.start.min(len);
+    let end = range.end.min(len).max(start);
     let art = &population.artifacts[start.min(split)..end.min(split)];
     let clean = &population.clean_sample[start.max(split) - split..end.max(split) - split];
     (art, clean)
@@ -439,7 +293,11 @@ fn slice_items<'a>(
 /// backend folds in population order, concatenating range outcomes via
 /// [`ZgrabScanOutcome::merge`] reproduces the whole-zone scan bit for
 /// bit, regardless of how the index space is chunked or which backend
-/// ran each chunk — the property campaign checkpointing rests on.
+/// ran each chunk — the property campaign checkpointing rests on. On
+/// the async backend each fetch first awaits its virtual network
+/// latency ([`crawl_latency_ms`], keyed by domain name), so slow fetches
+/// overlap instead of serializing. A range past the population's end
+/// yields an empty outcome.
 pub fn zgrab_scan_range(
     population: &Population,
     range: Range<usize>,
@@ -465,7 +323,11 @@ pub fn zgrab_scan_range(
                 })
                 .outcome
         }
-        Backend::Streaming { workers, capacity } => {
+        Backend::Streaming {
+            workers,
+            capacity,
+            batch,
+        } => {
             let engine = NoCoinEngine::new();
             let ctx = ZgrabProbeCtx {
                 seed,
@@ -474,7 +336,7 @@ pub fn zgrab_scan_range(
             };
             let stage = ZgrabStage { ctx: &ctx };
             PipelineExecutor::new(workers, capacity)
-                .with_env_batch()
+                .with_batch(batch)
                 .run(
                     slice_items(art, clean),
                     &stage,
@@ -518,6 +380,10 @@ pub fn zgrab_scan_range(
 /// Instrumented-browser scan of the sub-range `range` of `population`'s
 /// scan order on any [`Backend`] — the Chrome counterpart of
 /// [`zgrab_scan_range`], with the same chunking-invariance contract.
+/// The streaming backend runs it as two overlapped stages, browser load
+/// then NoCoin labeling and Wasm fingerprinting. `cache`, when given, is
+/// the fingerprint memo every backend consults; it stores pure
+/// per-module fingerprints, so it never changes the outcome.
 pub fn chrome_scan_range(
     population: &Population,
     range: Range<usize>,
@@ -547,13 +413,17 @@ pub fn chrome_scan_range(
                 })
                 .outcome
         }
-        Backend::Streaming { workers, capacity } => {
+        Backend::Streaming {
+            workers,
+            capacity,
+            batch,
+        } => {
             let engine = NoCoinEngine::new();
             let ctx = ChromeProbeCtx::new(seed, model, &engine, db, cache);
             let fetch = ChromeFetchStage { ctx: &ctx };
             let classify = ChromeClassifyStage { ctx: &ctx };
             PipelineExecutor::new(workers, capacity)
-                .with_env_batch()
+                .with_batch(batch)
                 .run2(
                     slice_items(art, clean),
                     &fetch,
@@ -570,6 +440,9 @@ pub fn chrome_scan_range(
             let engine = NoCoinEngine::new();
             let ctx = ChromeProbeCtx::new(seed, model, &engine, db, cache);
             let ctx = &ctx;
+            // One scratch encode buffer for every task: the executor
+            // polls one task at a time, and no task holds the buffer
+            // across an await.
             let scratch = Rc::new(RefCell::new(Vec::new()));
             AsyncExecutor::new(concurrency)
                 .run_ordered(
@@ -673,142 +546,75 @@ mod tests {
         assert_eq!(run.outcome, sequential);
     }
 
-    #[test]
-    fn streaming_zgrab_matches_sequential() {
-        let pop = Population::generate(Zone::Org, 42, 50);
-        let sequential = crate::scan::zgrab_scan(&pop, 1);
-        for workers in [1, 2, 7] {
-            for capacity in [1, 64] {
-                let pipe = PipelineExecutor::new(workers, capacity);
-                let run = zgrab_scan_streaming(&pop, 1, &FetchModel::default(), &pipe);
-                assert_eq!(run.outcome, sequential, "workers={workers} cap={capacity}");
-                assert_eq!(
-                    run.stats.items,
-                    (pop.artifacts.len() + pop.clean_sample.len()) as u64
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_chrome_matches_sequential_and_caches_fingerprints() {
-        let pop = Population::generate(Zone::Org, 42, 50);
-        let db = build_reference_db(0.7);
-        let sequential = crate::scan::chrome_scan(&pop, &db, 1);
-        let cache = FingerprintCache::new();
-        for workers in [1, 3] {
-            let pipe = PipelineExecutor::new(workers, 8);
-            let run =
-                chrome_scan_streaming(&pop, &db, 1, &FetchModel::default(), Some(&cache), &pipe);
-            assert_eq!(run.outcome, sequential, "workers={workers}");
-            assert_eq!(run.stats.stages.len(), 2);
-        }
-        // Miners redeploy identical modules across domains, so the memo
-        // must answer a healthy share of lookups — and the second scan
-        // reuses the first scan's entries wholesale.
-        assert!(cache.hit_rate() > 0.0, "hit rate {}", cache.hit_rate());
-        assert!(cache.hits() > cache.entries() as u64);
-    }
-
-    #[test]
-    fn async_zgrab_matches_sequential() {
-        let pop = Population::generate(Zone::Org, 42, 50);
-        let sequential = crate::scan::zgrab_scan(&pop, 1);
-        for concurrency in [1, 2, 16, 256] {
-            let aexec = AsyncExecutor::new(concurrency);
-            let run = zgrab_scan_async(&pop, 1, &FetchModel::default(), &aexec);
-            assert_eq!(run.outcome, sequential, "concurrency={concurrency}");
-            assert_eq!(
-                run.stats.completed,
-                (pop.artifacts.len() + pop.clean_sample.len()) as u64
-            );
-            assert_eq!(
-                run.stats.in_flight_high_water,
-                (concurrency as u64).min(run.stats.tasks)
-            );
-        }
-    }
-
-    #[test]
-    fn async_chrome_matches_sequential_and_caches_fingerprints() {
-        let pop = Population::generate(Zone::Org, 42, 50);
-        let db = build_reference_db(0.7);
-        let sequential = crate::scan::chrome_scan(&pop, &db, 1);
-        let cache = FingerprintCache::new();
-        for concurrency in [1, 32] {
-            let aexec = AsyncExecutor::new(concurrency);
-            let run = chrome_scan_async(&pop, &db, 1, &FetchModel::default(), Some(&cache), &aexec);
-            assert_eq!(run.outcome, sequential, "concurrency={concurrency}");
-        }
-        assert!(cache.hit_rate() > 0.0, "hit rate {}", cache.hit_rate());
-    }
-
-    #[test]
-    fn async_scan_matches_sequential_under_faults() {
-        use minedig_primitives::fault::{FaultConfig, FaultPlan};
-        let pop = Population::generate(Zone::Org, 42, 50);
-        let plan = FaultPlan::with_config(
-            17,
-            FaultConfig {
-                fault_prob: 0.5,
-                permanent_prob: 0.4,
-                ..FaultConfig::default()
-            },
-        );
-        let model = FetchModel::outlasting(plan);
-        let sequential = crate::scan::zgrab_scan_with(&pop, 1, &model);
-        assert!(sequential.fetch.unreachable > 0);
-        let run = zgrab_scan_async(&pop, 1, &model, &AsyncExecutor::new(64));
-        assert_eq!(run.outcome, sequential);
-        // Injected delays and stalls surface as virtual latency, never
-        // wall time.
-        assert!(run.stats.virtual_ms > 0);
-    }
-
-    #[test]
-    fn range_scans_concatenate_to_the_full_scan_on_every_backend() {
-        let pop = Population::generate(Zone::Org, 42, 50);
-        let sequential = crate::scan::zgrab_scan(&pop, 1);
-        let len = pop.artifacts.len() + pop.clean_sample.len();
-        for backend in [
+    /// One backend of each kind, with small, awkward parameters.
+    fn every_backend() -> [Backend; 4] {
+        [
             Backend::Sequential,
             Backend::Sharded(3),
             Backend::Streaming {
                 workers: 2,
                 capacity: 8,
+                batch: 3,
             },
             Backend::Async { concurrency: 16 },
-        ] {
-            let mut acc = ZgrabScanOutcome::empty(pop.zone);
-            let mut at = 0;
-            while at < len {
-                let end = (at + 37).min(len);
-                let part = zgrab_scan_range(&pop, at..end, 1, &FetchModel::default(), &backend);
-                acc.merge(part);
-                at = end;
-            }
-            acc.total_domains = pop.total;
-            assert_eq!(acc, sequential, "backend={}", backend.label());
-        }
+        ]
     }
 
-    #[test]
-    fn streaming_scan_matches_sequential_under_faults() {
+    /// A mixed fault plan: half the fetches fault, some permanently.
+    fn faulty_model() -> FetchModel {
         use minedig_primitives::fault::{FaultConfig, FaultPlan};
-        let pop = Population::generate(Zone::Org, 42, 50);
-        let plan = FaultPlan::with_config(
+        FetchModel::outlasting(FaultPlan::with_config(
             17,
             FaultConfig {
                 fault_prob: 0.5,
                 permanent_prob: 0.4,
                 ..FaultConfig::default()
             },
-        );
-        let model = FetchModel::outlasting(plan);
-        let sequential = crate::scan::zgrab_scan_with(&pop, 1, &model);
-        assert!(sequential.fetch.unreachable > 0);
-        let pipe = PipelineExecutor::new(4, 16);
-        let run = zgrab_scan_streaming(&pop, 1, &model, &pipe);
-        assert_eq!(run.outcome, sequential);
+        ))
+    }
+
+    #[test]
+    fn range_scans_concatenate_to_the_full_scan_on_every_backend() {
+        let pop = Population::generate(Zone::Org, 42, 50);
+        let db = build_reference_db(0.7);
+        let len = pop.artifacts.len() + pop.clean_sample.len();
+        for model in [FetchModel::default(), faulty_model()] {
+            let zgrab = crate::scan::zgrab_scan_with(&pop, 1, &model);
+            let chrome = crate::scan::chrome_scan_with(&pop, &db, 1, &model);
+            for backend in every_backend() {
+                let cache = FingerprintCache::new();
+                let mut zg = ZgrabScanOutcome::empty(pop.zone);
+                let mut ch = ChromeScanOutcome::empty(pop.zone);
+                for at in (0..len).step_by(37) {
+                    let range = at..(at + 37).min(len);
+                    zg.merge(zgrab_scan_range(&pop, range.clone(), 1, &model, &backend));
+                    let part =
+                        chrome_scan_range(&pop, range, &db, 1, &model, Some(&cache), &backend);
+                    ch.merge(part);
+                }
+                zg.total_domains = pop.total;
+                assert_eq!(zg, zgrab, "backend={}", backend.label());
+                assert_eq!(ch, chrome, "backend={}", backend.label());
+                // Miners redeploy identical modules across domains, so
+                // the memo answers a share of lookups on every backend.
+                assert!(cache.hits() > 0, "backend={}", backend.label());
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_scans_are_empty_on_every_backend() {
+        let pop = Population::generate(Zone::Org, 3, 5);
+        let db = build_reference_db(0.7);
+        let len = pop.artifacts.len() + pop.clean_sample.len();
+        let model = FetchModel::default();
+        for backend in every_backend() {
+            for range in [len..len + 10, len + 5..len + 9, len + 5..usize::MAX] {
+                let zg = zgrab_scan_range(&pop, range.clone(), 1, &model, &backend);
+                assert_eq!(zg, ZgrabScanOutcome::empty(pop.zone), "{range:?}");
+                let ch = chrome_scan_range(&pop, range.clone(), &db, 1, &model, None, &backend);
+                assert_eq!(ch, ChromeScanOutcome::empty(pop.zone), "{range:?}");
+            }
+        }
     }
 }

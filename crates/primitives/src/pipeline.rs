@@ -476,39 +476,10 @@ impl PipelineExecutor {
         self
     }
 
-    /// Applies the `MINEDIG_PIPE_BATCH` override when set (0/unset keep
-    /// the auto default).
-    pub fn with_env_batch(self) -> PipelineExecutor {
-        match batch_from_env() {
-            Some(batch) => self.with_batch(batch),
-            None => self,
-        }
-    }
-
     /// One worker per stage with the default capacity — the streaming
     /// (still overlapped!) analog of a sequential run.
     pub fn sequential() -> PipelineExecutor {
         PipelineExecutor::new(1, DEFAULT_CAPACITY)
-    }
-
-    /// Worker count from `MINEDIG_SHARDS` (default: available
-    /// parallelism), capacity from `MINEDIG_PIPE_CAP` (default
-    /// [`DEFAULT_CAPACITY`]), batch from `MINEDIG_PIPE_BATCH` (default
-    /// auto).
-    pub fn from_env() -> PipelineExecutor {
-        let workers = std::env::var("MINEDIG_SHARDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        let capacity = std::env::var("MINEDIG_PIPE_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_CAPACITY);
-        PipelineExecutor::new(workers, capacity).with_env_batch()
     }
 
     /// Configured workers per stage.

@@ -18,13 +18,16 @@
 //! `tests/checkpoint_resume.rs` proves for all three campaigns on all
 //! executor backends.
 
-use crate::aexec::{AsyncExecutor, CONCURRENCY_ENV, DEFAULT_CONCURRENCY};
+use crate::aexec::{CONCURRENCY_ENV, DEFAULT_CONCURRENCY};
 use crate::ckpt::{Checkpointable, CkptError, SnapshotStore};
 use crate::fault::FaultPlan;
+use crate::pipeline::{batch_from_env, PipelineExecutor};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Which executor a campaign runs its item chunks on.
+/// Which executor a campaign runs its item chunks on — the whole
+/// executor configuration, and the only place a §3 scan or a §4.1 walk
+/// picks one.
 ///
 /// This is plain data — each campaign interprets it by constructing
 /// its own executor — so supervision code stays independent of the
@@ -38,12 +41,14 @@ pub enum Backend {
     /// many shards.
     Sharded(usize),
     /// [`PipelineExecutor`](crate::pipeline::PipelineExecutor) with
-    /// this worker count and channel capacity.
+    /// this worker count, channel capacity and message batch size.
     Streaming {
         /// Stage worker threads.
         workers: usize,
         /// Per-stage channel capacity.
         capacity: usize,
+        /// Items per channel message.
+        batch: usize,
     },
     /// [`AsyncExecutor`](crate::aexec::AsyncExecutor) with this
     /// in-flight budget.
@@ -56,7 +61,9 @@ pub enum Backend {
 impl Backend {
     /// Selects a backend the way the CLI does: `MINEDIG_ASYNC=1` wins,
     /// then `MINEDIG_STREAM=1`, then `MINEDIG_SHARDS`, defaulting to
-    /// sequential.
+    /// sequential. Any other value of the two flags leaves them off.
+    /// The streaming batch comes from `MINEDIG_PIPE_BATCH`, defaulting
+    /// to the pipeline's auto size for the worker count and capacity.
     pub fn from_env() -> Backend {
         fn flag(name: &str) -> bool {
             std::env::var(name).is_ok_and(|v| v.trim() == "1")
@@ -73,9 +80,13 @@ impl Backend {
                 concurrency: num(CONCURRENCY_ENV, DEFAULT_CONCURRENCY),
             }
         } else if flag("MINEDIG_STREAM") {
+            let workers = num("MINEDIG_SHARDS", 1);
+            let capacity = num("MINEDIG_PIPE_CAP", 64);
             Backend::Streaming {
-                workers: num("MINEDIG_SHARDS", 1),
-                capacity: num("MINEDIG_PIPE_CAP", 64),
+                workers,
+                capacity,
+                batch: batch_from_env()
+                    .unwrap_or_else(|| PipelineExecutor::new(workers, capacity).batch()),
             }
         } else {
             match std::env::var("MINEDIG_SHARDS")
@@ -95,15 +106,6 @@ impl Backend {
             Backend::Sharded(_) => "sharded",
             Backend::Streaming { .. } => "streaming",
             Backend::Async { .. } => "async",
-        }
-    }
-
-    /// Builds the async executor this backend names (async backends
-    /// only) — a helper so campaigns don't duplicate the mapping.
-    pub fn async_executor(&self) -> Option<AsyncExecutor> {
-        match self {
-            Backend::Async { concurrency } => Some(AsyncExecutor::new(*concurrency)),
-            _ => None,
         }
     }
 }
@@ -340,8 +342,9 @@ impl Supervisor {
             return Some(k);
         }
         let plan = self.plan.as_ref()?;
-        let horizon = self.policy.ckpt_every_items.max(1) * 4;
-        plan.crash_point(attempt, horizon).map(|off| progress + off)
+        let horizon = self.policy.ckpt_every_items.max(1).saturating_mul(4);
+        plan.crash_point(attempt, horizon)
+            .map(|off| progress.saturating_add(off))
     }
 
     /// Runs `init()`'s campaign to completion under the crash policy,
@@ -727,13 +730,12 @@ mod tests {
         assert_eq!(
             Backend::Streaming {
                 workers: 2,
-                capacity: 8
+                capacity: 8,
+                batch: 4
             }
             .label(),
             "streaming"
         );
         assert_eq!(Backend::Async { concurrency: 16 }.label(), "async");
-        assert!(Backend::Async { concurrency: 1 }.async_executor().is_some());
-        assert!(Backend::Sequential.async_executor().is_none());
     }
 }

@@ -33,9 +33,9 @@ use minedig_primitives::supervise::{Backend, Campaign};
 use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Simulated probe round-trip, keyed by link code exactly like
-/// `enumerate::probe_latency_ms` (same seed, same distribution) so the
-/// campaign's async backend observes the same schedule.
+/// Simulated round-trip of one probe on the async backend, keyed by the
+/// link code (never by probing order) so the latency schedule cannot
+/// perturb results across concurrency levels.
 fn probe_latency_ms(code: &str) -> u64 {
     1 + DetRng::seed(0x5C0DE).derive(code).gen_range(48)
 }
@@ -194,10 +194,10 @@ impl<P: LinkProber + Sync> PipelineStage for RangeProbeStage<'_, P> {
     }
 }
 
-/// Probes `[base, base + len)` on `backend`, returning results in
-/// strict index order. Every backend issues exactly `len` probes; the
-/// caller's fold decides how many of them the sequential walk would
-/// have consumed.
+/// Probes `[base, base + len)` (cut at `u64::MAX`) on `backend`,
+/// returning results in strict index order. Every backend issues every
+/// probe of the range; the caller's fold decides how many of them the
+/// sequential walk would have consumed.
 fn probe_range<P: LinkProber + Sync>(
     prober: &P,
     policy: &ProbePolicy,
@@ -205,7 +205,7 @@ fn probe_range<P: LinkProber + Sync>(
     len: u64,
     backend: &Backend,
 ) -> Vec<Probed> {
-    let range = base..base + len;
+    let range = base..base.saturating_add(len);
     match *backend {
         Backend::Sequential => range
             .map(|i| probe_with_retry(prober, &index_to_code(i), policy))
@@ -216,14 +216,18 @@ fn probe_range<P: LinkProber + Sync>(
                     prober,
                     policy,
                     base,
-                    len: len as usize,
+                    len: (range.end - base) as usize,
                 })
                 .outcome
         }
-        Backend::Streaming { workers, capacity } => {
+        Backend::Streaming {
+            workers,
+            capacity,
+            batch,
+        } => {
             let stage = RangeProbeStage { prober, policy };
             PipelineExecutor::new(workers, capacity)
-                .with_env_batch()
+                .with_batch(batch)
                 .run(range, &stage, Vec::new(), |acc: &mut Vec<Probed>, out| {
                     acc.push(out);
                     ControlFlow::Continue(())
@@ -352,6 +356,56 @@ impl<'a, P: LinkProber + Sync> EnumCampaign<'a, P> {
         self.stream = EventStream::new(true, true);
         self
     }
+
+    /// Probes the next `batch` IDs and folds them in index order with
+    /// the sequential dead-run walk; probes past the stop are overshoot
+    /// and discarded, exactly like the windowed walk's final window.
+    fn fold_probes(&mut self, batch: u64, heartbeat: &AtomicU64) {
+        let results = probe_range(
+            self.prober,
+            self.policy,
+            self.enumeration.probed,
+            batch,
+            &self.backend,
+        );
+        let e = &mut self.enumeration;
+        for (result, retries) in results {
+            if self.dead_run >= self.dead_run_limit {
+                break;
+            }
+            e.probed += 1;
+            e.probe_retries += u64::from(retries);
+            match result {
+                Ok(Some(doc)) => {
+                    self.dead_run = 0;
+                    let mut url = None;
+                    if let Some((service, budget_per_link)) = self.resolver {
+                        // In tail mode, only the first sighting of a
+                        // (token, requirement) pair under budget joins
+                        // the resolve set — the §4.1 unbiased filter.
+                        let wanted = !self.tail_only
+                            || (self.seen.insert((doc.token_id, doc.required_hashes))
+                                && doc.required_hashes < budget_per_link);
+                        if wanted {
+                            resolve_step(
+                                service,
+                                &mut self.resolve_report,
+                                &doc.code,
+                                budget_per_link,
+                            );
+                            // The URL joins the doc's event.
+                            url = self.resolve_report.resolved.pop().map(|(_, url)| url);
+                        }
+                    }
+                    self.stream.push(&doc, url.as_ref());
+                }
+                Ok(None) => self.dead_run += 1,
+                // Neutral: not evidence of a dead ID, not a live link.
+                Err(_) => e.failed_probes += 1,
+            }
+            heartbeat.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 impl<P: LinkProber + Sync> Checkpointable for EnumCampaign<'_, P> {
@@ -433,55 +487,14 @@ impl<P: LinkProber + Sync> Campaign for EnumCampaign<'_, P> {
     }
 
     fn run_items(&mut self, budget: u64, heartbeat: &AtomicU64) {
-        if budget == 0 || self.is_done() {
-            return;
-        }
-        let results = probe_range(
-            self.prober,
-            self.policy,
-            self.enumeration.probed,
-            budget,
-            &self.backend,
-        );
-        // The sequential dead-run fold, in index order; probes past the
-        // stop are overshoot and discarded, exactly like the windowed
-        // walk's final window.
-        let e = &mut self.enumeration;
-        for (result, retries) in results {
-            if self.dead_run >= self.dead_run_limit {
-                break;
-            }
-            e.probed += 1;
-            e.probe_retries += u64::from(retries);
-            match result {
-                Ok(Some(doc)) => {
-                    self.dead_run = 0;
-                    let mut url = None;
-                    if let Some((service, budget_per_link)) = self.resolver {
-                        // In tail mode, only the first sighting of a
-                        // (token, requirement) pair under budget joins
-                        // the resolve set — the §4.1 unbiased filter.
-                        let wanted = !self.tail_only
-                            || (self.seen.insert((doc.token_id, doc.required_hashes))
-                                && doc.required_hashes < budget_per_link);
-                        if wanted {
-                            resolve_step(
-                                service,
-                                &mut self.resolve_report,
-                                &doc.code,
-                                budget_per_link,
-                            );
-                            // The URL joins the doc's event.
-                            url = self.resolve_report.resolved.pop().map(|(_, url)| url);
-                        }
-                    }
-                    self.stream.push(&doc, url.as_ref());
-                }
-                Ok(None) => self.dead_run += 1,
-                // Neutral: not evidence of a dead ID, not a live link.
-                Err(_) => e.failed_probes += 1,
-            }
-            heartbeat.fetch_add(1, Ordering::Relaxed);
+        // Probe in sub-batches no larger than the dead-run limit: the
+        // walk can stop within any batch, so a batch wastes at most that
+        // many probes past the stop however large `budget` is.
+        let mut left = budget;
+        while left > 0 && !self.is_done() {
+            let batch = left.min(self.dead_run_limit.max(1));
+            left -= batch;
+            self.fold_probes(batch, heartbeat);
         }
     }
 
@@ -550,6 +563,7 @@ mod tests {
             Backend::Streaming {
                 workers: 2,
                 capacity: 8,
+                batch: 3,
             },
             Backend::Async { concurrency: 16 },
         ] {
@@ -572,6 +586,55 @@ mod tests {
             assert!(run.report.balanced(), "{:?}", run.report);
             assert_eq!(run.report.crashes, 3, "backend={}", backend.label());
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn an_unbounded_budget_finishes_a_resumed_walk_on_every_backend() {
+        let service = service();
+        let policy = ProbePolicy::default();
+        let expected = enumerate_links_with(&service, 32, &policy);
+        for backend in [
+            Backend::Sequential,
+            Backend::Sharded(3),
+            Backend::Streaming {
+                workers: 2,
+                capacity: 8,
+                batch: 3,
+            },
+            Backend::Async { concurrency: 16 },
+        ] {
+            let hb = AtomicU64::new(0);
+            let mut first = EnumCampaign::new(&service, &policy, 32, backend);
+            first.run_items(100, &hb);
+            let mut resumed = EnumCampaign::new(&service, &policy, 32, backend);
+            resumed.restore(&first.snapshot()).unwrap();
+            resumed.run_items(u64::MAX, &hb);
+            assert!(resumed.is_done(), "backend={}", backend.label());
+            assert_enum_eq(&resumed.finish().enumeration, &expected);
+        }
+    }
+
+    #[test]
+    fn a_zero_dead_run_limit_probes_nothing_on_every_backend() {
+        let service = service();
+        let policy = ProbePolicy::default();
+        for backend in [
+            Backend::Sequential,
+            Backend::Sharded(3),
+            Backend::Streaming {
+                workers: 2,
+                capacity: 8,
+                batch: 3,
+            },
+            Backend::Async { concurrency: 16 },
+        ] {
+            let mut walk = EnumCampaign::new(&service, &policy, 0, backend);
+            assert!(walk.is_done());
+            walk.run_items(u64::MAX, &AtomicU64::new(0));
+            let out = walk.finish().enumeration;
+            assert_eq!(out.probed, 0, "backend={}", backend.label());
+            assert!(out.docs.is_empty());
         }
     }
 
@@ -640,6 +703,7 @@ mod tests {
             Backend::Streaming {
                 workers: 3,
                 capacity: 16,
+                batch: 5,
             },
         ] {
             let dir = tmpdir(&format!("tail-{}", backend.label()));

@@ -27,13 +27,10 @@
 //! probing order.
 
 use crate::ids::index_to_code;
-use crate::probe::{probe_with_retry, LinkProber, ProbeError, ProbePolicy};
+use crate::probe::{probe_with_retry, LinkProber, ProbePolicy};
 use crate::service::{ShortlinkService, VisitDoc};
-use minedig_primitives::aexec::{AsyncExecutor, AsyncRun};
 use minedig_primitives::par::{ExecStats, ParallelExecutor, ShardedTask};
-use minedig_primitives::pipeline::{PipelineExecutor, PipelineRun, PipelineStage};
-use minedig_primitives::rng::DetRng;
-use std::ops::{ControlFlow, Range};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Result of enumerating the address space.
@@ -399,194 +396,6 @@ pub fn enumerate_links_windowed_with<P: LinkProber>(
     }
 }
 
-/// One probe's outcome as it travels between pipeline stages: the probe
-/// result plus the retries it took.
-pub type ProbeOut = (Result<Option<VisitDoc>, ProbeError>, u32);
-
-/// The ID-space probe as a [`PipelineStage`]: items are global indices,
-/// outputs carry the probe result plus the retries it took. Public so
-/// drivers can chain their own downstream stage behind it with
-/// [`PipelineExecutor::run2`] — the streaming study hangs its resolver
-/// stage here.
-pub struct ProbeStage<'a, P: LinkProber> {
-    /// The prober each worker probes through.
-    pub prober: &'a P,
-    /// Retry policy applied per probe.
-    pub policy: &'a ProbePolicy,
-}
-
-impl<P: LinkProber + Sync> PipelineStage for ProbeStage<'_, P> {
-    type In = u64;
-    type Out = ProbeOut;
-    type Scratch = ();
-
-    fn scratch(&self) {}
-
-    fn process(&self, index: u64, _scratch: &mut ()) -> Self::Out {
-        probe_with_retry(self.prober, &index_to_code(index), self.policy)
-    }
-}
-
-/// Streams the ID-space walk through a [`PipelineExecutor`]: probes run
-/// on the pipeline's workers over the *infinite* index source while the
-/// sink replays the sequential dead-run fold in strict ID order,
-/// stopping the pipeline exactly where [`enumerate_links_with`] stops.
-/// Bit-identical to the sequential walk for any worker count and channel
-/// capacity, under any fault schedule (faults and retry jitter are keyed
-/// by link code, not probing order).
-///
-/// `on_doc` is invoked for every live document, in ID order, as the sink
-/// folds it — the streaming hook that lets resolution begin before
-/// enumeration completes.
-pub fn enumerate_links_streaming_with<P: LinkProber + Sync>(
-    prober: &P,
-    dead_run_limit: u64,
-    pipe: &PipelineExecutor,
-    policy: &ProbePolicy,
-    mut on_doc: impl FnMut(&VisitDoc),
-) -> PipelineRun<Enumeration> {
-    let stage = ProbeStage { prober, policy };
-    let empty = Enumeration {
-        docs: Vec::new(),
-        probed: 0,
-        failed_probes: 0,
-        probe_retries: 0,
-    };
-    let run = pipe.run(
-        0u64..,
-        &stage,
-        (empty, 0u64),
-        |(e, dead_run), (result, retries)| {
-            // Mirrors the sequential `while dead_run < limit` guard: the
-            // walk ends before consuming the probe that follows a full
-            // dead run (and immediately when the limit is zero). Workers
-            // overshoot past the stop; the overshoot is discarded.
-            if *dead_run >= dead_run_limit {
-                return ControlFlow::Break(());
-            }
-            e.probed += 1;
-            e.probe_retries += u64::from(retries);
-            match result {
-                Ok(Some(doc)) => {
-                    *dead_run = 0;
-                    on_doc(&doc);
-                    e.docs.push(doc);
-                }
-                Ok(None) => *dead_run += 1,
-                // Neutral: not evidence of a dead ID, not a live link.
-                Err(_) => e.failed_probes += 1,
-            }
-            ControlFlow::Continue(())
-        },
-    );
-    PipelineRun {
-        outcome: run.outcome.0,
-        stats: run.stats,
-    }
-}
-
-/// [`enumerate_links_streaming_with`] over the service itself with the
-/// default (infallible) probe policy.
-pub fn enumerate_links_streaming(
-    service: &ShortlinkService,
-    dead_run_limit: u64,
-    pipe: &PipelineExecutor,
-) -> PipelineRun<Enumeration> {
-    enumerate_links_streaming_with(
-        service,
-        dead_run_limit,
-        pipe,
-        &ProbePolicy::default(),
-        |_| {},
-    )
-}
-
-/// Simulated round-trip for one shortlink probe, keyed by the link code
-/// (never by probing order) so the latency schedule cannot perturb
-/// results across concurrency levels.
-fn probe_latency_ms(code: &str) -> u64 {
-    1 + DetRng::seed(0x5C0DE).derive(code).gen_range(48)
-}
-
-/// Async ID-space walk: probes fan out across up to the executor's
-/// concurrency budget as cooperative tasks on one thread, each awaiting
-/// its virtual round-trip ([`probe_latency_ms`]) while the sink replays
-/// the sequential dead-run fold in strict ID order over the *infinite*
-/// index source, stopping exactly where [`enumerate_links_with`] stops
-/// (in-flight overshoot past the stop is cancelled and discarded).
-/// Bit-identical to the sequential walk for any concurrency, under any
-/// fault schedule — faults, retry jitter, and latency are all keyed by
-/// link code, not probing order.
-///
-/// `on_doc` fires for every live document, in ID order, as the sink
-/// folds it.
-pub fn enumerate_links_async_with<P: LinkProber>(
-    prober: &P,
-    dead_run_limit: u64,
-    aexec: &AsyncExecutor,
-    policy: &ProbePolicy,
-    mut on_doc: impl FnMut(&VisitDoc),
-) -> AsyncRun<Enumeration> {
-    let empty = Enumeration {
-        docs: Vec::new(),
-        probed: 0,
-        failed_probes: 0,
-        probe_retries: 0,
-    };
-    let run = aexec.run_ordered(
-        0u64..,
-        |actx, index| {
-            let code = index_to_code(index);
-            async move {
-                actx.sleep_ms(probe_latency_ms(&code)).await;
-                probe_with_retry(prober, &code, policy)
-            }
-        },
-        (empty, 0u64),
-        |(e, dead_run), (result, retries)| {
-            // Mirrors the sequential `while dead_run < limit` guard: the
-            // walk ends before consuming the probe that follows a full
-            // dead run (and immediately when the limit is zero).
-            if *dead_run >= dead_run_limit {
-                return ControlFlow::Break(());
-            }
-            e.probed += 1;
-            e.probe_retries += u64::from(retries);
-            match result {
-                Ok(Some(doc)) => {
-                    *dead_run = 0;
-                    on_doc(&doc);
-                    e.docs.push(doc);
-                }
-                Ok(None) => *dead_run += 1,
-                // Neutral: not evidence of a dead ID, not a live link.
-                Err(_) => e.failed_probes += 1,
-            }
-            ControlFlow::Continue(())
-        },
-    );
-    AsyncRun {
-        outcome: run.outcome.0,
-        stats: run.stats,
-    }
-}
-
-/// [`enumerate_links_async_with`] over the service itself with the
-/// default (infallible) probe policy.
-pub fn enumerate_links_async(
-    service: &ShortlinkService,
-    dead_run_limit: u64,
-    aexec: &AsyncExecutor,
-) -> AsyncRun<Enumeration> {
-    enumerate_links_async_with(
-        service,
-        dead_run_limit,
-        aexec,
-        &ProbePolicy::default(),
-        |_| {},
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -846,154 +655,6 @@ mod tests {
         assert_eq!(faulty.probed, clean.probed);
         assert_eq!(faulty.failed_probes, 0);
         assert!(faulty.probe_retries > 0, "p=0.5 must force retries");
-    }
-
-    fn assert_streaming_equivalent_with<P: LinkProber + Sync>(
-        prober: &P,
-        policy: &ProbePolicy,
-        limit: u64,
-        workers: usize,
-        capacity: usize,
-    ) {
-        let sequential = enumerate_links_with(prober, limit, policy);
-        let mut streamed_docs = Vec::new();
-        let run = enumerate_links_streaming_with(
-            prober,
-            limit,
-            &PipelineExecutor::new(workers, capacity),
-            policy,
-            |doc| streamed_docs.push(doc.clone()),
-        );
-        assert_eq!(
-            run.outcome.probed, sequential.probed,
-            "probed, workers={workers} cap={capacity} limit={limit}"
-        );
-        assert_eq!(
-            run.outcome.docs, sequential.docs,
-            "docs, workers={workers} cap={capacity} limit={limit}"
-        );
-        assert_eq!(run.outcome.failed_probes, sequential.failed_probes);
-        assert_eq!(run.outcome.probe_retries, sequential.probe_retries);
-        assert_eq!(streamed_docs, sequential.docs, "on_doc sees the ID order");
-        // The sink folds one extra item: the probe at which it observes
-        // the dead-run guard and stops without consuming it.
-        assert_eq!(run.stats.items, sequential.probed + 1);
-    }
-
-    #[test]
-    fn streaming_walk_equals_sequential() {
-        let service = gap_service(&[0, 1, 5, 6, 20, 21, 22, 47]);
-        let policy = ProbePolicy::default();
-        for workers in [1, 2, 3, 8] {
-            for capacity in [1, 2, 64] {
-                for limit in [1, 3, 10, 26] {
-                    assert_streaming_equivalent_with(&service, &policy, limit, workers, capacity);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_walk_zero_limit_probes_nothing() {
-        let service = gap_service(&[0, 1, 2]);
-        let run = enumerate_links_streaming(&service, 0, &PipelineExecutor::new(4, 8));
-        assert_eq!(run.outcome.probed, 0);
-        assert!(run.outcome.docs.is_empty());
-        assert_eq!(run.stats.items, 1, "only the guard item reaches the sink");
-    }
-
-    #[test]
-    fn streaming_walk_is_identical_under_fault_schedules() {
-        use crate::probe::FaultyProber;
-        use minedig_primitives::fault::{FaultConfig, FaultPlan};
-        let service = gap_service(&[0, 1, 5, 6, 20, 21, 22, 47]);
-        let plan = FaultPlan::with_config(
-            7,
-            FaultConfig {
-                fault_prob: 0.5,
-                permanent_prob: 0.4,
-                ..FaultConfig::default()
-            },
-        );
-        let prober = FaultyProber::new(&service, plan.clone());
-        let policy = ProbePolicy::outlasting(&plan);
-        for workers in [1, 3, 8] {
-            for limit in [1, 5, 26] {
-                assert_streaming_equivalent_with(&prober, &policy, limit, workers, 4);
-            }
-        }
-    }
-
-    fn assert_async_equivalent_with<P: LinkProber>(
-        prober: &P,
-        policy: &ProbePolicy,
-        limit: u64,
-        concurrency: usize,
-    ) {
-        let sequential = enumerate_links_with(prober, limit, policy);
-        let mut streamed_docs = Vec::new();
-        let run = enumerate_links_async_with(
-            prober,
-            limit,
-            &AsyncExecutor::new(concurrency),
-            policy,
-            |doc| streamed_docs.push(doc.clone()),
-        );
-        assert_eq!(
-            run.outcome.probed, sequential.probed,
-            "probed, concurrency={concurrency} limit={limit}"
-        );
-        assert_eq!(
-            run.outcome.docs, sequential.docs,
-            "docs, concurrency={concurrency} limit={limit}"
-        );
-        assert_eq!(run.outcome.failed_probes, sequential.failed_probes);
-        assert_eq!(run.outcome.probe_retries, sequential.probe_retries);
-        assert_eq!(streamed_docs, sequential.docs, "on_doc sees the ID order");
-        // Tasks may overshoot the stop in flight, never undershoot: the
-        // fold consumes the sequential walk's probes plus the guard item.
-        assert!(run.stats.completed > sequential.probed);
-    }
-
-    #[test]
-    fn async_walk_equals_sequential() {
-        let service = gap_service(&[0, 1, 5, 6, 20, 21, 22, 47]);
-        let policy = ProbePolicy::default();
-        for concurrency in [1, 2, 16, 256] {
-            for limit in [1, 3, 10, 26] {
-                assert_async_equivalent_with(&service, &policy, limit, concurrency);
-            }
-        }
-    }
-
-    #[test]
-    fn async_walk_zero_limit_probes_nothing() {
-        let service = gap_service(&[0, 1, 2]);
-        let run = enumerate_links_async(&service, 0, &AsyncExecutor::new(8));
-        assert_eq!(run.outcome.probed, 0);
-        assert!(run.outcome.docs.is_empty());
-    }
-
-    #[test]
-    fn async_walk_is_identical_under_fault_schedules() {
-        use crate::probe::FaultyProber;
-        use minedig_primitives::fault::{FaultConfig, FaultPlan};
-        let service = gap_service(&[0, 1, 5, 6, 20, 21, 22, 47]);
-        let plan = FaultPlan::with_config(
-            7,
-            FaultConfig {
-                fault_prob: 0.5,
-                permanent_prob: 0.4,
-                ..FaultConfig::default()
-            },
-        );
-        let prober = FaultyProber::new(&service, plan.clone());
-        let policy = ProbePolicy::outlasting(&plan);
-        for concurrency in [1, 16, 64] {
-            for limit in [1, 5, 26] {
-                assert_async_equivalent_with(&prober, &policy, limit, concurrency);
-            }
-        }
     }
 
     #[test]

@@ -8,15 +8,24 @@
 //! minedig hashrate                          local CryptoNight throughput
 //! ```
 //!
-//! `MINEDIG_STREAM=1 minedig shortlink …` runs the study through the
-//! streaming pipeline (probes fan across `MINEDIG_SHARDS` workers while
-//! a resolver thread consumes the unbiased tail as it is discovered) —
-//! same outputs, overlapped wall-clock, plus pipeline stats.
+//! One selector, `Backend::from_env`, picks the executor for every
+//! command: `MINEDIG_ASYNC=1` selects the cooperative async backend (up
+//! to `MINEDIG_CONCURRENCY` tasks in flight, default 256), else
+//! `MINEDIG_STREAM=1` the streaming pipeline (`MINEDIG_SHARDS` workers,
+//! `MINEDIG_PIPE_CAP` capacity, `MINEDIG_PIPE_BATCH` items per message),
+//! else `MINEDIG_SHARDS=N` with N > 1 the sharded backend, else the
+//! sequential one. Any value of the two flags other than `1` leaves them
+//! off. Results are bit-identical on every backend; only the executor
+//! and timing lines differ.
 //!
-//! `MINEDIG_ASYNC=1` switches `scan` and `shortlink` to the cooperative
-//! async backend instead: up to `MINEDIG_CONCURRENCY` fetches (default
-//! 256) await their simulated network latency at once on a single
-//! thread — same outputs for any concurrency, plus executor stats.
+//! * `scan` runs the zgrab and Chrome scans as campaigns on the selected
+//!   backend, the Chrome pass with a fingerprint memo.
+//! * `shortlink` shards its walk under the sharded backend. The
+//!   streaming and async backends drive the supervised walk only;
+//!   unsupervised, the walk then runs sequentially.
+//! * `attribute` shards each poll sweep across the sharded or streaming
+//!   backend's worker count, or holds every endpoint's fetch in flight
+//!   at once on the async backend.
 //!
 //! `MINEDIG_CKPT_DIR=<dir>` runs `scan`, `attribute` and `shortlink`
 //! supervised: progress checkpoints land in `<dir>` every
@@ -36,30 +45,26 @@
 use minedig::analysis::economics::{pool_revenue, ExchangeRate};
 use minedig::analysis::scenario::{run_scenario, run_scenario_supervised, ScenarioConfig};
 use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
-use minedig::core::exec::{chrome_scan_async, zgrab_scan_async, ScanExecutor};
 use minedig::core::report::{
-    async_poll_summary, async_stats, checkpoint_summary, comparison_table, degradation_summary,
-    fetch_stats, health_summary, pipeline_stats, scan_stats, CampaignHealth, Comparison,
+    async_poll_summary, checkpoint_summary, comparison_table, degradation_summary, fetch_stats,
+    health_summary, CampaignHealth, Comparison,
 };
 use minedig::core::scan::{build_reference_db, FetchModel};
-use minedig::core::shortlink_study::{
-    run_study, run_study_async, run_study_streaming, run_study_supervised, StudyConfig, StudyResult,
-};
+use minedig::core::shortlink_study::{run_study, run_study_supervised, StudyConfig, StudyResult};
 use minedig::pow::hashrate::measure_hashrate;
 use minedig::pow::Variant;
-use minedig::primitives::aexec::AsyncExecutor;
 use minedig::primitives::ckpt::SnapshotStore;
 use minedig::primitives::fault::FaultPlan;
 use minedig::primitives::health::{health_from_env, HealthConfig};
-use minedig::primitives::par::ParallelExecutor;
-use minedig::primitives::pipeline::PipelineExecutor;
-use minedig::primitives::supervise::{Backend, CrashPolicy, Supervisor, CKPT_DIR_ENV};
+use minedig::primitives::supervise::{Backend, Campaign, CrashPolicy, Supervisor, CKPT_DIR_ENV};
 use minedig::shortlink::model::ModelConfig;
 use minedig::wasm::corpus::generate_corpus;
 use minedig::wasm::{corpus_content_key, CacheWarmth, FingerprintCache};
 use minedig::web::page::CORPUS_SEED;
 use minedig::web::universe::Population;
 use minedig::web::zone::Zone;
+use std::sync::atomic::AtomicU64;
+use std::time::Instant;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -79,6 +84,8 @@ fn main() {
                  minedig attribute [days] [seed] [--resume]\n  \
                  minedig shortlink [links] [seed] [--resume]\n  \
                  minedig hashrate\n\n\
+                 MINEDIG_ASYNC=1, MINEDIG_STREAM=1 or MINEDIG_SHARDS=N selects the\n\
+                 execution backend (default sequential; results are identical).\n\
                  MINEDIG_CKPT_DIR=<dir> checkpoints scan/attribute/shortlink campaigns\n\
                  every MINEDIG_CKPT_EVERY items (default 64), retaining the last\n\
                  MINEDIG_CKPT_KEEP snapshot generations (default 2); --resume\n\
@@ -159,61 +166,130 @@ fn cmd_scan(args: &[String], resume: bool) {
         None => FetchModel::default(),
     };
 
-    // MINEDIG_CKPT_DIR runs the scan supervised: checkpointed, resumable
-    // with --resume, and with a persistent fingerprint memo. Results are
-    // bit-identical to the unsupervised path on every backend.
-    if let Some(store) = ckpt_store() {
-        supervised_scan(&store, zone, zone_tag, seed, &population, &model, resume);
-        return;
+    // MINEDIG_CKPT_DIR runs both scans supervised: checkpointed,
+    // resumable with --resume, and with a fingerprint memo persisted
+    // across runs. Otherwise each scan is the same campaign run in one
+    // go. Results are bit-identical either way, on every backend.
+    let backend = Backend::from_env();
+    let ckpt = ckpt_store().map(|store| (store, supervisor_from_env()));
+    if let Some((store, supervisor)) = &ckpt {
+        println!(
+            "checkpointing to {} every {} items ({} backend){}",
+            store.dir().display(),
+            supervisor.policy().ckpt_every_items,
+            backend.label(),
+            if resume { ", resuming" } else { "" },
+        );
     }
 
-    // MINEDIG_ASYNC=1 fans fetches out as cooperative tasks on one
-    // thread; otherwise the scan shards across MINEDIG_SHARDS workers
-    // (default: all cores). Either way, outcomes are bit-identical to a
-    // sequential scan.
-    let async_exec = std::env::var("MINEDIG_ASYNC")
-        .is_ok()
-        .then(AsyncExecutor::from_env);
-    let executor = ScanExecutor::from_env();
-    let (zg, zg_stats) = match &async_exec {
-        Some(aexec) => {
-            let run = zgrab_scan_async(&population, seed, &model, aexec);
-            (run.outcome, async_stats("zgrab", &run.stats))
-        }
-        None => {
-            let run = executor.zgrab_with(&population, seed, &model);
-            (run.outcome, scan_stats("zgrab", &run.stats))
-        }
-    };
+    let zg = run_campaign(
+        &ckpt,
+        "zgrab",
+        &format!("scan-zgrab-{zone_tag}-{seed}"),
+        backend,
+        resume,
+        || ZgrabCampaign::new(&population, seed, &model, backend),
+    );
     println!(
         "zgrab + NoCoin (TLS-only, 256 kB): {} domains flagged, 0 FPs on {} clean samples",
         zg.hit_domains, zg.clean_sample_size
     );
-    print!("{zg_stats}");
     print!("{}", fetch_stats("zgrab fetches", &zg.fetch));
-
     let mut health = vec![CampaignHealth::from_fetch("zgrab", &zg.fetch)];
 
     if zone.chrome_scanned() {
         let db = build_reference_db(0.7);
-        let (ch, ch_stats) = match &async_exec {
-            Some(aexec) => {
-                let run = chrome_scan_async(&population, &db, seed, &model, None, aexec);
-                (run.outcome, async_stats("chrome", &run.stats))
-            }
-            None => {
-                let run = executor.chrome_with(&population, &db, seed, &model);
-                (run.outcome, scan_stats("chrome", &run.stats))
-            }
-        };
-        print!("{ch_stats}");
+        // The fingerprint memo is content-addressed, so it persists
+        // across runs keyed by the module universe it was built over.
+        let memo = ckpt.as_ref().map(|(store, _)| {
+            let corpus_key = corpus_content_key(&generate_corpus(CORPUS_SEED));
+            (store, corpus_key, load_memo(store, corpus_key))
+        });
+        let fresh = FingerprintCache::new();
+        let cache = memo.as_ref().map_or(&fresh, |(_, _, cache)| cache);
+
+        let ch = run_campaign(
+            &ckpt,
+            "chrome",
+            &format!("scan-chrome-{zone_tag}-{seed}"),
+            backend,
+            resume,
+            || ChromeCampaign::new(&population, &db, seed, &model, Some(cache), backend),
+        );
         print!("{}", fetch_stats("chrome fetches", &ch.fetch));
         health.push(CampaignHealth::from_fetch("chrome", &ch.fetch));
         print_chrome_findings(&ch);
+
+        println!(
+            "fingerprint memo: {} entries, hit rate {:.1}% ({:.1}% warm, {:.1}% cold)",
+            cache.entries(),
+            cache.hit_rate() * 100.0,
+            cache.warm_hit_rate() * 100.0,
+            (cache.hit_rate() - cache.warm_hit_rate()) * 100.0,
+        );
+        if let Some((store, corpus_key, cache)) = &memo {
+            match cache.save(store, "fingerprints", *corpus_key) {
+                Ok(bytes) => println!("fingerprint memo persisted ({bytes} bytes)"),
+                Err(e) => eprintln!("could not persist fingerprint memo: {e}"),
+            }
+        }
     } else {
         println!("(zone not part of the paper's Chrome measurement — §3.2 covers Alexa and .org)");
     }
     print!("{}", degradation_summary(&health));
+}
+
+/// Runs one campaign to completion on `backend`: under the supervisor,
+/// checkpointed into the store as `name`, when `MINEDIG_CKPT_DIR` is set;
+/// otherwise in a single `run_items` call over all of its items.
+fn run_campaign<C: Campaign>(
+    ckpt: &Option<(SnapshotStore, Supervisor)>,
+    label: &str,
+    name: &str,
+    backend: Backend,
+    resume: bool,
+    mut init: impl FnMut() -> C,
+) -> C::Output {
+    let Some((store, supervisor)) = ckpt else {
+        let start = Instant::now();
+        let mut campaign = init();
+        campaign.run_items(u64::MAX, &AtomicU64::new(0));
+        println!(
+            "{label}: {} items in {:.2}s on the {} backend",
+            campaign.progress_key(),
+            start.elapsed().as_secs_f64(),
+            backend.label(),
+        );
+        return campaign.finish();
+    };
+    let run = supervisor
+        .run(store, name, init, resume)
+        .unwrap_or_else(|e| {
+            eprintln!("{label} campaign failed: {e}");
+            std::process::exit(1);
+        });
+    print!("{}", checkpoint_summary(label, &run.report));
+    run.output
+}
+
+/// Loads the Chrome scan's persisted fingerprint memo, reporting how
+/// warm it starts; an unreadable memo is discarded for a cold one.
+fn load_memo(store: &SnapshotStore, corpus_key: u64) -> FingerprintCache {
+    let (cache, warmth) =
+        FingerprintCache::load(store, "fingerprints", corpus_key).unwrap_or_else(|e| {
+            eprintln!("discarding unreadable fingerprint memo: {e}");
+            (FingerprintCache::new(), CacheWarmth::Cold)
+        });
+    match warmth {
+        CacheWarmth::Cold => println!("fingerprint memo: cold start"),
+        CacheWarmth::Stale { found_key } => println!(
+            "fingerprint memo: stale (corpus key {found_key:#x} ≠ {corpus_key:#x}), cold start"
+        ),
+        CacheWarmth::Warm { entries } => {
+            println!("fingerprint memo: warm start, {entries} entries preloaded")
+        }
+    }
+    cache
 }
 
 fn print_chrome_findings(ch: &minedig::core::scan::ChromeScanOutcome) {
@@ -241,120 +317,22 @@ fn print_chrome_findings(ch: &minedig::core::scan::ChromeScanOutcome) {
     );
 }
 
-/// The checkpointed scan: both pipelines run as supervised campaigns,
-/// the Chrome pass reuses a fingerprint memo persisted across runs, and
-/// outcomes match the unsupervised path bit for bit.
-fn supervised_scan(
-    store: &SnapshotStore,
-    zone: Zone,
-    zone_tag: &str,
-    seed: u64,
-    population: &Population,
-    model: &FetchModel,
-    resume: bool,
-) {
-    let backend = Backend::from_env();
-    let supervisor = supervisor_from_env();
-    println!(
-        "checkpointing to {} every {} items ({} backend){}",
-        store.dir().display(),
-        supervisor.policy().ckpt_every_items,
-        backend.label(),
-        if resume { ", resuming" } else { "" },
-    );
-
-    let name = format!("scan-zgrab-{zone_tag}-{seed}");
-    let run = supervisor
-        .run(
-            store,
-            &name,
-            || ZgrabCampaign::new(population, seed, model, backend),
-            resume,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("zgrab campaign failed: {e}");
-            std::process::exit(1);
-        });
-    let zg = run.output;
-    print!("{}", checkpoint_summary("zgrab", &run.report));
-    println!(
-        "zgrab + NoCoin (TLS-only, 256 kB): {} domains flagged, 0 FPs on {} clean samples",
-        zg.hit_domains, zg.clean_sample_size
-    );
-    print!("{}", fetch_stats("zgrab fetches", &zg.fetch));
-    let mut health = vec![CampaignHealth::from_fetch("zgrab", &zg.fetch)];
-
-    if zone.chrome_scanned() {
-        let db = build_reference_db(0.7);
-        // The fingerprint memo is content-addressed, so it persists
-        // across runs keyed by the module universe it was built over.
-        let corpus_key = corpus_content_key(&generate_corpus(CORPUS_SEED));
-        let (cache, warmth) = FingerprintCache::load(store, "fingerprints", corpus_key)
-            .unwrap_or_else(|e| {
-                eprintln!("discarding unreadable fingerprint memo: {e}");
-                (FingerprintCache::new(), CacheWarmth::Cold)
-            });
-        match warmth {
-            CacheWarmth::Cold => println!("fingerprint memo: cold start"),
-            CacheWarmth::Stale { found_key } => println!(
-                "fingerprint memo: stale (corpus key {found_key:#x} ≠ {corpus_key:#x}), cold start"
-            ),
-            CacheWarmth::Warm { entries } => {
-                println!("fingerprint memo: warm start, {entries} entries preloaded")
-            }
-        }
-
-        let name = format!("scan-chrome-{zone_tag}-{seed}");
-        let run = supervisor
-            .run(
-                store,
-                &name,
-                || ChromeCampaign::new(population, &db, seed, model, Some(&cache), backend),
-                resume,
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("chrome campaign failed: {e}");
-                std::process::exit(1);
-            });
-        let ch = run.output;
-        print!("{}", checkpoint_summary("chrome", &run.report));
-        print!("{}", fetch_stats("chrome fetches", &ch.fetch));
-        health.push(CampaignHealth::from_fetch("chrome", &ch.fetch));
-        print_chrome_findings(&ch);
-
-        println!(
-            "fingerprint memo: {} entries, hit rate {:.1}% ({:.1}% warm, {:.1}% cold)",
-            cache.entries(),
-            cache.hit_rate() * 100.0,
-            cache.warm_hit_rate() * 100.0,
-            (cache.hit_rate() - cache.warm_hit_rate()) * 100.0,
-        );
-        match cache.save(store, "fingerprints", corpus_key) {
-            Ok(bytes) => println!("fingerprint memo persisted ({bytes} bytes)"),
-            Err(e) => eprintln!("could not persist fingerprint memo: {e}"),
-        }
-    } else {
-        println!("(zone not part of the paper's Chrome measurement — §3.2 covers Alexa and .org)");
-    }
-    print!("{}", degradation_summary(&health));
-}
-
 fn cmd_attribute(args: &[String], resume: bool) {
     let days = arg_u64(args, 0, 7);
     let seed = arg_u64(args, 1, 2018);
-    // MINEDIG_SHARDS fans each poll sweep across endpoints;
-    // MINEDIG_ASYNC=1 instead holds every endpoint's fetch in flight at
-    // once on one thread. Results are identical to sequential polling
-    // either way.
-    let poll_shards = ParallelExecutor::from_env().shards();
-    let async_exec = std::env::var("MINEDIG_ASYNC")
-        .is_ok()
-        .then(AsyncExecutor::from_env);
-    match &async_exec {
-        Some(aexec) => println!(
+    // The backend picks the poll sweep: the sharded and streaming
+    // backends fan each sweep across their worker count, the async one
+    // holds every endpoint's fetch in flight at once on one thread.
+    // Results are identical to sequential polling either way.
+    let (poll_shards, poll_async) = match Backend::from_env() {
+        Backend::Sequential => (1, None),
+        Backend::Sharded(n) | Backend::Streaming { workers: n, .. } => (n, None),
+        Backend::Async { concurrency } => (1, Some(concurrency)),
+    };
+    match poll_async {
+        Some(concurrency) => println!(
             "simulating {days} days of Monero with an instrumented Coinhive-style pool \
-             (async polling, {} in flight)…",
-            aexec.concurrency()
+             (async polling, {concurrency} in flight)…"
         ),
         None => println!(
             "simulating {days} days of Monero with an instrumented Coinhive-style pool \
@@ -365,7 +343,7 @@ fn cmd_attribute(args: &[String], resume: bool) {
         duration_days: days,
         seed,
         poll_shards,
-        poll_async: async_exec.as_ref().map(|a| a.concurrency()),
+        poll_async,
         ..ScenarioConfig::default()
     };
     if let Some(plan) = FaultPlan::from_env() {
@@ -451,18 +429,22 @@ fn cmd_attribute(args: &[String], resume: bool) {
 fn cmd_shortlink(args: &[String], resume: bool) {
     let links = arg_u64(args, 0, 50_000);
     let seed = arg_u64(args, 1, 2018);
-    let enum_shards = ParallelExecutor::from_env().shards();
+    // The sharded backend fans the walk across its shards; the
+    // streaming and async backends drive the supervised walk only.
+    let backend = Backend::from_env();
     let config = StudyConfig {
         model: ModelConfig {
             total_links: links,
             users: 12_000.min(links as usize / 4).max(100),
             seed,
         },
-        enum_shards,
+        enum_shards: match backend {
+            Backend::Sharded(n) => n,
+            _ => 1,
+        },
         ..StudyConfig::default()
     };
     let study: StudyResult = if let Some(store) = ckpt_store() {
-        let backend = Backend::from_env();
         let supervisor = supervisor_from_env();
         println!(
             "generating {links} short links; supervised enumeration ({} backend), \
@@ -479,57 +461,12 @@ fn cmd_shortlink(args: &[String], resume: bool) {
                 std::process::exit(1);
             });
         print!("{}", checkpoint_summary("shortlink enum", &run.report));
-        print!(
-            "{}",
-            degradation_summary(&[CampaignHealth::from_enumeration(
-                "shortlink enum",
-                &run.result.enumeration,
-            )])
-        );
         run.result
-    } else if std::env::var("MINEDIG_ASYNC").is_ok() {
-        let aexec = AsyncExecutor::from_env();
-        println!(
-            "generating {links} short links; async enumeration with up to \
-             {} probes in flight…",
-            aexec.concurrency()
-        );
-        let run = run_study_async(&config, seed, &aexec);
-        print!("{}", async_stats("enumerate", &run.enum_stats));
-        print!(
-            "{}",
-            degradation_summary(&[CampaignHealth::from_enumeration(
-                "shortlink enum",
-                &run.result.enumeration,
-            )])
-        );
-        run.result
-    } else if std::env::var("MINEDIG_STREAM").is_ok() {
-        let pipe = PipelineExecutor::from_env();
-        println!(
-            "generating {links} short links; streaming enumerate→resolve \
-             across {} pipeline workers…",
-            pipe.workers()
-        );
-        let streamed = run_study_streaming(&config, seed, &pipe);
-        print!("{}", pipeline_stats("enumerate", &streamed.enum_stats));
-        println!(
-            "resolver: {} links resolved concurrently, overlap with enumeration: {}",
-            streamed.resolver.items,
-            if streamed.overlapped() { "yes" } else { "no" }
-        );
-        print!(
-            "{}",
-            degradation_summary(&[CampaignHealth::from_enumeration(
-                "shortlink enum",
-                &streamed.result.enumeration,
-            )])
-        );
-        streamed.result
     } else {
         println!(
             "generating {links} short links and enumerating the ID space \
-             ({enum_shards}-shard probing)…"
+             ({}-shard probing)…",
+            config.enum_shards
         );
         run_study(&config, seed)
     };

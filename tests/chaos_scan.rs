@@ -8,19 +8,22 @@
 //!
 //! `MINEDIG_FAULT_SEED` offsets every fault-plan seed, so the CI chaos
 //! matrix exercises a different schedule per job without touching the
-//! test code. `MINEDIG_STREAM=1` additionally replays every property
-//! through the streaming pipeline backend.
+//! test code. A backend selected through `Backend::from_env` (the chaos
+//! job sets `MINEDIG_STREAM=1` and `MINEDIG_PIPE_BATCH`) additionally
+//! replays every property through that backend.
 
-use minedig::core::exec::{chrome_scan_streaming, zgrab_scan_streaming, ScanExecutor};
+use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
+use minedig::core::exec::ScanExecutor;
 use minedig::core::scan::{
     build_reference_db, chrome_scan, chrome_scan_with, zgrab_scan, zgrab_scan_with, FetchModel,
 };
 use minedig::primitives::fault::{FaultConfig, FaultPlan, FAULT_SEED_ENV};
-use minedig::primitives::pipeline::PipelineExecutor;
+use minedig::primitives::supervise::{Backend, Campaign};
 use minedig::wasm::sigdb::SignatureDb;
 use minedig::web::universe::Population;
 use minedig::web::zone::Zone;
 use proptest::prelude::*;
+use std::sync::atomic::AtomicU64;
 use std::sync::OnceLock;
 
 /// Base fault seed from the environment (the CI matrix axis).
@@ -31,14 +34,27 @@ fn base_seed() -> u64 {
         .unwrap_or(0)
 }
 
-/// When `MINEDIG_STREAM` is set (the chaos job's streaming axis), a
-/// pipeline to replay each property through the streaming backend —
-/// honoring `MINEDIG_PIPE_BATCH` so the CI matrix also varies the
-/// channel-message framing.
-fn stream_pipe(workers: usize) -> Option<PipelineExecutor> {
-    std::env::var("MINEDIG_STREAM")
-        .is_ok()
-        .then(|| PipelineExecutor::new(workers, 16).with_env_batch())
+/// The backend `Backend::from_env` selects, to replay each property
+/// through, with a streaming backend's worker count varied per case;
+/// `None` when it selects the sequential default.
+fn env_backend(workers: usize) -> Option<Backend> {
+    match Backend::from_env() {
+        Backend::Sequential => None,
+        Backend::Streaming {
+            capacity, batch, ..
+        } => Some(Backend::Streaming {
+            workers,
+            capacity,
+            batch,
+        }),
+        other => Some(other),
+    }
+}
+
+/// Runs `campaign` to completion in one unbounded call.
+fn run_to_end<C: Campaign>(mut campaign: C) -> C::Output {
+    campaign.run_items(u64::MAX, &AtomicU64::new(0));
+    campaign.finish()
 }
 
 fn zone(ix: u8) -> Zone {
@@ -79,9 +95,9 @@ proptest! {
         prop_assert_eq!(&normalized, &reference);
         let run = ScanExecutor::new(shards).zgrab_with(&pop, seed, &model);
         prop_assert_eq!(&run.outcome, &faulty, "shards={}", shards);
-        if let Some(pipe) = stream_pipe(1 + shards % 4) {
-            let streamed = zgrab_scan_streaming(&pop, seed, &model, &pipe);
-            prop_assert_eq!(&streamed.outcome, &faulty, "streaming");
+        if let Some(backend) = env_backend(1 + shards % 4) {
+            let replayed = run_to_end(ZgrabCampaign::new(&pop, seed, &model, backend));
+            prop_assert_eq!(&replayed, &faulty, "backend={:?}", backend);
         }
     }
 
@@ -123,9 +139,9 @@ proptest! {
         );
         let run = ScanExecutor::new(shards).zgrab_with(&pop, seed, &model);
         prop_assert_eq!(&run.outcome, &out, "shards={}", shards);
-        if let Some(pipe) = stream_pipe(1 + shards % 4) {
-            let streamed = zgrab_scan_streaming(&pop, seed, &model, &pipe);
-            prop_assert_eq!(&streamed.outcome, &out, "streaming");
+        if let Some(backend) = env_backend(1 + shards % 4) {
+            let replayed = run_to_end(ZgrabCampaign::new(&pop, seed, &model, backend));
+            prop_assert_eq!(&replayed, &out, "backend={:?}", backend);
         }
     }
 }
@@ -155,9 +171,9 @@ proptest! {
         prop_assert_eq!(&normalized, &reference);
         let run = ScanExecutor::new(shards).chrome_with(&pop, db(), seed, &model);
         prop_assert_eq!(&run.outcome, &faulty, "shards={}", shards);
-        if let Some(pipe) = stream_pipe(1 + shards % 4) {
-            let streamed = chrome_scan_streaming(&pop, db(), seed, &model, None, &pipe);
-            prop_assert_eq!(&streamed.outcome, &faulty, "streaming");
+        if let Some(backend) = env_backend(1 + shards % 4) {
+            let replayed = run_to_end(ChromeCampaign::new(&pop, db(), seed, &model, None, backend));
+            prop_assert_eq!(&replayed, &faulty, "backend={:?}", backend);
         }
     }
 }

@@ -65,6 +65,7 @@ const BACKENDS: [Backend; 4] = [
     Backend::Streaming {
         workers: 2,
         capacity: 8,
+        batch: 3,
     },
     Backend::Async { concurrency: 16 },
 ];
