@@ -9,10 +9,10 @@
 //!
 //! The campaigns run through the range dispatch the CLI and the
 //! supervisor use, in chunks of a drawn size, so chunk boundaries are
-//! exercised too. Properties that read an executor's own stats (batch
-//! message accounting, the in-flight high water, stall starvation) call
-//! [`PipelineExecutor`] and [`AsyncExecutor`] directly on the public
-//! per-domain scan kernels.
+//! exercised too. Properties that read the async executor's own stats
+//! (the in-flight high water, stall starvation) call [`AsyncExecutor`]
+//! directly on the public per-domain scan kernel; the streaming
+//! pipeline's message accounting is checked in `pipeline_equivalence.rs`.
 //!
 //! `MINEDIG_FAULT_SEED` offsets every fault-plan seed and
 //! `MINEDIG_CONCURRENCY` sets the study's async in-flight budget: the
@@ -22,7 +22,7 @@
 use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
 use minedig::core::scan::{
     build_reference_db, chrome_scan, chrome_scan_with, crawl_latency_ms, zgrab_fold,
-    zgrab_probe_domain, zgrab_scan_with, FetchModel, ZgrabProbeCtx, ZgrabScanOutcome, ZgrabVerdict,
+    zgrab_probe_domain, zgrab_scan_with, FetchModel, ZgrabProbeCtx, ZgrabScanOutcome,
 };
 use minedig::core::shortlink_study::{run_study, run_study_supervised, StudyConfig};
 use minedig::nocoin::NoCoinEngine;
@@ -30,7 +30,6 @@ use minedig::primitives::aexec::{AsyncExecutor, AsyncRun, DEFAULT_CONCURRENCY};
 use minedig::primitives::ckpt::SnapshotStore;
 use minedig::primitives::fault::{FaultConfig, FaultPlan, FAULT_SEED_ENV};
 use minedig::primitives::par::ParallelExecutor;
-use minedig::primitives::pipeline::{PipelineExecutor, PipelineRun, PipelineStage, PipelineStats};
 use minedig::primitives::supervise::{Backend, Campaign, CrashPolicy, Supervisor};
 use minedig::shortlink::campaign::EnumCampaign;
 use minedig::shortlink::enumerate::{enumerate_links_windowed_with, enumerate_links_with};
@@ -123,53 +122,10 @@ fn run_chunked<C: Campaign>(mut campaign: C, chunk: u64) -> C::Output {
     campaign.finish()
 }
 
-/// The zgrab probe as a pipeline stage over the public kernel.
-struct ZgrabStage<'a> {
-    ctx: &'a ZgrabProbeCtx<'a>,
-}
-
-impl<'a> PipelineStage for ZgrabStage<'a> {
-    type In = (&'a Domain, bool);
-    type Out = (ZgrabVerdict, bool);
-    type Scratch = ();
-
-    fn scratch(&self) {}
-
-    fn process(&self, (d, clean): Self::In, _scratch: &mut ()) -> Self::Out {
-        (zgrab_probe_domain(self.ctx, d), clean)
-    }
-}
-
 /// A population's scan order: artifact domains, then the clean sample.
 fn scan_order(pop: &Population) -> impl Iterator<Item = (&Domain, bool)> + Send {
     let artifacts = pop.artifacts.iter().map(|d| (d, false));
     artifacts.chain(pop.clean_sample.iter().map(|d| (d, true)))
-}
-
-/// The zgrab scan on `pipe` directly, for the pipeline's own stats.
-fn zgrab_piped(
-    pop: &Population,
-    seed: u64,
-    model: &FetchModel,
-    pipe: &PipelineExecutor,
-) -> PipelineRun<ZgrabScanOutcome> {
-    let engine = NoCoinEngine::new();
-    let ctx = ZgrabProbeCtx {
-        seed,
-        model,
-        engine: &engine,
-    };
-    let mut run = pipe.run(
-        scan_order(pop),
-        &ZgrabStage { ctx: &ctx },
-        ZgrabScanOutcome::empty(pop.zone),
-        |acc, (verdict, clean)| {
-            zgrab_fold(acc, verdict, clean);
-            ControlFlow::Continue(())
-        },
-    );
-    run.outcome.total_domains = pop.total;
-    run
 }
 
 /// The zgrab scan on `aexec` directly, each fetch awaiting its virtual
@@ -206,20 +162,11 @@ fn zgrab_async(
     run
 }
 
-/// Message-accounting invariants that hold for every run: the recorded
-/// batch matches the executor's, no message carries more than `batch`
-/// items, and a non-empty run sends at least one message.
-fn check_batching(stats: &PipelineStats, batch: usize) -> bool {
-    stats.batch == batch
-        && stats.messages.saturating_mul(batch as u64) >= stats.hop_items()
-        && (stats.hop_items() == 0 || stats.messages > 0)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     // zgrab: every backend ≡ sequential under mixed (clearing +
-    // permanent) chaos; batching changes only the message count.
+    // permanent) chaos.
     #[test]
     fn async_zgrab_equals_every_other_backend(
         seed in 0u64..1_000_000,
@@ -237,15 +184,6 @@ proptest! {
             let out = run_chunked(ZgrabCampaign::new(&pop, seed, &model, backend), chunk);
             prop_assert_eq!(&out, &sequential, "backend={:?}", backend);
         }
-        let Backend::Streaming { workers, capacity, batch } = backends[2] else {
-            unreachable!("backends() puts the streaming backend third");
-        };
-        let pipe = PipelineExecutor::new(workers, capacity).with_batch(batch);
-        let piped = zgrab_piped(&pop, seed, &model, &pipe);
-        prop_assert_eq!(&piped.outcome, &sequential);
-        prop_assert!(check_batching(&piped.stats, batch));
-        let items = (pop.artifacts.len() + pop.clean_sample.len()) as u64;
-        prop_assert_eq!(piped.stats.items, items, "the sink folds every domain once");
     }
 
     // The ID-space walk with accounted resolution riding on it: every

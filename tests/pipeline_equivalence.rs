@@ -7,28 +7,43 @@
 //! channel message, never which items exist or the order the sink
 //! folds them.
 //!
+//! Each campaign runs on [`Backend::Streaming`] through the range
+//! dispatch the CLI and the supervisor use, in chunks of a drawn size.
+//! The message accounting is read from [`PipelineExecutor`] run directly
+//! on the public per-domain scan kernels, the same stages the dispatch
+//! builds.
+//!
 //! `MINEDIG_FAULT_SEED` offsets every fault-plan seed, so the CI chaos
 //! matrix exercises a different schedule per job without touching the
 //! test code.
 
-use minedig::core::exec::{chrome_scan_streaming, zgrab_scan_streaming, ScanExecutor};
-use minedig::core::scan::{build_reference_db, chrome_scan_with, zgrab_scan_with, FetchModel};
-use minedig::core::shortlink_study::{run_study, run_study_streaming, StudyConfig};
+use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
+use minedig::core::exec::ScanExecutor;
+use minedig::core::scan::{
+    build_reference_db, chrome_classify_domain, chrome_fetch_domain, chrome_fold, chrome_scan_with,
+    zgrab_fold, zgrab_probe_domain, zgrab_scan_with, ChromeProbeCtx, ChromeScanOutcome, FetchModel,
+    ZgrabProbeCtx, ZgrabScanOutcome,
+};
+use minedig::core::shortlink_study::{run_study, run_study_supervised, StudyConfig};
+use minedig::nocoin::NoCoinEngine;
+use minedig::primitives::ckpt::SnapshotStore;
 use minedig::primitives::fault::{FaultConfig, FaultPlan, FAULT_SEED_ENV};
 use minedig::primitives::par::ParallelExecutor;
-use minedig::primitives::pipeline::PipelineExecutor;
-use minedig::shortlink::enumerate::{
-    enumerate_links_streaming_with, enumerate_links_windowed_with, enumerate_links_with,
-};
+use minedig::primitives::pipeline::{FnStage, PipelineExecutor, PipelineRun, PipelineStats};
+use minedig::primitives::supervise::{Backend, Campaign, CrashPolicy, Supervisor};
+use minedig::shortlink::campaign::EnumCampaign;
+use minedig::shortlink::enumerate::{enumerate_links_windowed_with, enumerate_links_with};
 use minedig::shortlink::model::{LinkPopulation, ModelConfig};
 use minedig::shortlink::probe::{FaultyProber, ProbePolicy};
-use minedig::shortlink::resolve::{resolve_accounted, resolve_step, ResolveReport};
+use minedig::shortlink::resolve::resolve_accounted;
 use minedig::shortlink::service::ShortlinkService;
 use minedig::wasm::cache::FingerprintCache;
 use minedig::wasm::sigdb::SignatureDb;
-use minedig::web::universe::Population;
+use minedig::web::universe::{Domain, Population};
 use minedig::web::zone::Zone;
 use proptest::prelude::*;
+use std::ops::ControlFlow;
+use std::sync::atomic::AtomicU64;
 use std::sync::OnceLock;
 
 /// Base fault seed from the environment (the CI matrix axis).
@@ -66,10 +81,84 @@ const CAPACITIES: [usize; 4] = [1, 4, 64, 256];
 /// whole workload in one message) regimes.
 const BATCHES: [usize; 5] = [1, 2, 3, 16, 256];
 
+/// Runs `campaign` to completion in chunks of `chunk` items.
+fn run_chunked<C: Campaign>(mut campaign: C, chunk: u64) -> C::Output {
+    let heartbeat = AtomicU64::new(0);
+    while !campaign.is_done() {
+        campaign.run_items(chunk, &heartbeat);
+    }
+    campaign.finish()
+}
+
+/// A population's scan order: artifact domains, then the clean sample.
+fn scan_order(pop: &Population) -> impl Iterator<Item = (&Domain, bool)> + Send {
+    let artifacts = pop.artifacts.iter().map(|d| (d, false));
+    artifacts.chain(pop.clean_sample.iter().map(|d| (d, true)))
+}
+
+/// The zgrab scan on `pipe` directly, for the pipeline's own stats.
+fn zgrab_piped(
+    pop: &Population,
+    seed: u64,
+    model: &FetchModel,
+    pipe: &PipelineExecutor,
+) -> PipelineRun<ZgrabScanOutcome> {
+    let engine = NoCoinEngine::new();
+    let ctx = ZgrabProbeCtx {
+        seed,
+        model,
+        engine: &engine,
+    };
+    let probe = FnStage::new(|(d, clean): (&Domain, bool)| (zgrab_probe_domain(&ctx, d), clean));
+    let mut run = pipe.run(
+        scan_order(pop),
+        &probe,
+        ZgrabScanOutcome::empty(pop.zone),
+        |acc, (verdict, clean)| {
+            zgrab_fold(acc, verdict, clean);
+            ControlFlow::Continue(())
+        },
+    );
+    run.outcome.total_domains = pop.total;
+    run
+}
+
+/// The two-stage Chrome scan (browser load, then NoCoin labeling and
+/// Wasm fingerprinting through `cache`) on `pipe` directly, for the
+/// pipeline's own stats.
+fn chrome_piped(
+    pop: &Population,
+    seed: u64,
+    model: &FetchModel,
+    cache: &FingerprintCache,
+    pipe: &PipelineExecutor,
+) -> PipelineRun<ChromeScanOutcome> {
+    let engine = NoCoinEngine::new();
+    let ctx = ChromeProbeCtx::new(seed, model, &engine, db(), Some(cache));
+    let fetch =
+        FnStage::new(|(d, clean): (&Domain, bool)| (d, clean, chrome_fetch_domain(&ctx, d)));
+    let classify = FnStage::new(|(d, clean, fetched)| {
+        (
+            chrome_classify_domain(&ctx, d, fetched, &mut Vec::new()),
+            clean,
+        )
+    });
+    pipe.run2(
+        scan_order(pop),
+        &fetch,
+        &classify,
+        ChromeScanOutcome::empty(pop.zone),
+        |acc, (verdict, clean)| {
+            chrome_fold(acc, verdict, clean);
+            ControlFlow::Continue(())
+        },
+    )
+}
+
 /// Message-accounting invariants that hold for every run: the recorded
 /// batch matches the executor's, no message carries more than `batch`
 /// items, and a non-empty run sends at least one message.
-fn check_batching(stats: &minedig::primitives::pipeline::PipelineStats, batch: usize) -> bool {
+fn check_batching(stats: &PipelineStats, batch: usize) -> bool {
     stats.batch == batch
         && stats.messages.saturating_mul(batch as u64) >= stats.hop_items()
         && (stats.hop_items() == 0 || stats.messages > 0)
@@ -89,18 +178,24 @@ proptest! {
         cap_ix in 0usize..CAPACITIES.len(),
         batch_ix in 0usize..BATCHES.len(),
         shards in 1usize..=8,
+        chunk in 64u64..4_096,
     ) {
         let pop = Population::generate(Zone::Org, seed, clean);
         let model = FetchModel::outlasting(mixed_plan(fault_off, permanent));
         let sequential = zgrab_scan_with(&pop, seed, &model);
-        let pipe = PipelineExecutor::new(workers, CAPACITIES[cap_ix])
-            .with_batch(BATCHES[batch_ix]);
-        let streamed = zgrab_scan_streaming(&pop, seed, &model, &pipe);
+        let (capacity, batch) = (CAPACITIES[cap_ix], BATCHES[batch_ix]);
+        let backend = Backend::Streaming { workers, capacity, batch };
+        let streamed = run_chunked(ZgrabCampaign::new(&pop, seed, &model, backend), chunk);
         prop_assert_eq!(
-            &streamed.outcome, &sequential,
-            "workers={} cap={} batch={}", workers, CAPACITIES[cap_ix], BATCHES[batch_ix]
+            &streamed, &sequential,
+            "workers={} cap={} batch={}", workers, capacity, batch
         );
-        prop_assert!(check_batching(&streamed.stats, BATCHES[batch_ix]));
+        let pipe = PipelineExecutor::new(workers, capacity).with_batch(batch);
+        let piped = zgrab_piped(&pop, seed, &model, &pipe);
+        prop_assert_eq!(&piped.outcome, &sequential);
+        prop_assert!(check_batching(&piped.stats, batch));
+        let items = (pop.artifacts.len() + pop.clean_sample.len()) as u64;
+        prop_assert_eq!(piped.stats.items, items, "the sink folds every domain once");
         let sharded = ScanExecutor::new(shards).zgrab_with(&pop, seed, &model);
         prop_assert_eq!(&sharded.outcome, &sequential, "shards={}", shards);
     }
@@ -121,25 +216,29 @@ proptest! {
         cap_ix in 0usize..CAPACITIES.len(),
         batch_ix in 0usize..BATCHES.len(),
         shards in 1usize..=8,
+        chunk in 64u64..4_096,
     ) {
         let pop = Population::generate(Zone::Org, seed, clean);
         let model = FetchModel::outlasting(mixed_plan(fault_off, permanent));
         let sequential = chrome_scan_with(&pop, db(), seed, &model);
         let cache = FingerprintCache::new();
-        let pipe = PipelineExecutor::new(workers, CAPACITIES[cap_ix])
-            .with_batch(BATCHES[batch_ix]);
-        let streamed = chrome_scan_streaming(&pop, db(), seed, &model, Some(&cache), &pipe);
+        let (capacity, batch) = (CAPACITIES[cap_ix], BATCHES[batch_ix]);
+        let backend = Backend::Streaming { workers, capacity, batch };
+        let campaign = ChromeCampaign::new(&pop, db(), seed, &model, Some(&cache), backend);
         prop_assert_eq!(
-            &streamed.outcome, &sequential,
-            "workers={} cap={} batch={}", workers, CAPACITIES[cap_ix], BATCHES[batch_ix]
+            &run_chunked(campaign, chunk), &sequential,
+            "workers={} cap={} batch={}", workers, capacity, batch
         );
-        prop_assert!(check_batching(&streamed.stats, BATCHES[batch_ix]));
+        let pipe = PipelineExecutor::new(workers, capacity).with_batch(batch);
+        let piped = chrome_piped(&pop, seed, &model, &cache, &pipe);
+        prop_assert_eq!(&piped.outcome, &sequential);
+        prop_assert!(check_batching(&piped.stats, batch));
         let sharded = ScanExecutor::new(shards).chrome_with(&pop, db(), seed, &model);
         prop_assert_eq!(&sharded.outcome, &sequential, "shards={}", shards);
     }
 
     // enumerate→resolve: the streamed walk (probes on pipeline workers,
-    // resolution FIFO as documents arrive) produces the same
+    // resolution as the fold reaches each document) produces the same
     // enumeration AND the same resolve report as the sequential
     // enumerate-then-resolve, and the sharded walk agrees too — under
     // mixed fault schedules on the probe path.
@@ -156,6 +255,7 @@ proptest! {
         cap_ix in 0usize..CAPACITIES.len(),
         batch_ix in 0usize..BATCHES.len(),
         shards in 1usize..=8,
+        chunk in 16u64..512,
     ) {
         let service = ShortlinkService::new(LinkPopulation::generate(&ModelConfig {
             total_links: links,
@@ -172,28 +272,24 @@ proptest! {
             sequential.docs.iter().map(|d| d.code.clone()).collect();
         let batch_report = resolve_accounted(&service, &codes, budget);
 
-        // Streaming: resolve each doc the moment the sink folds it.
-        let mut streamed_report = ResolveReport::default();
-        let pipe = PipelineExecutor::new(workers, CAPACITIES[cap_ix])
-            .with_batch(BATCHES[batch_ix]);
-        let streamed = enumerate_links_streaming_with(
-            &prober,
-            limit,
-            &pipe,
-            &policy,
-            |doc| resolve_step(&service, &mut streamed_report, &doc.code, budget),
-        );
-        prop_assert_eq!(streamed.outcome.docs, sequential.docs);
-        prop_assert_eq!(streamed.outcome.probed, sequential.probed);
-        prop_assert_eq!(streamed.outcome.failed_probes, sequential.failed_probes);
-        prop_assert_eq!(streamed.outcome.probe_retries, sequential.probe_retries);
-        prop_assert!(check_batching(&streamed.stats, BATCHES[batch_ix]));
-        prop_assert_eq!(streamed_report.resolved, batch_report.resolved);
-        prop_assert_eq!(streamed_report.hashes_spent, batch_report.hashes_spent);
-        prop_assert_eq!(
-            streamed_report.skipped_over_budget,
-            batch_report.skipped_over_budget
-        );
+        // Streaming: resolve each doc the moment the fold reaches it.
+        let backend = Backend::Streaming {
+            workers,
+            capacity: CAPACITIES[cap_ix],
+            batch: BATCHES[batch_ix],
+        };
+        let campaign = EnumCampaign::new(&prober, &policy, limit, backend)
+            .with_resolver(&service, budget);
+        let streamed = run_chunked(campaign, chunk);
+        let e = &streamed.enumeration;
+        prop_assert_eq!(&e.docs, &sequential.docs, "backend={:?}", backend);
+        prop_assert_eq!(e.probed, sequential.probed);
+        prop_assert_eq!(e.failed_probes, sequential.failed_probes);
+        prop_assert_eq!(e.probe_retries, sequential.probe_retries);
+        let r = &streamed.resolve_report;
+        prop_assert_eq!(&r.resolved, &batch_report.resolved);
+        prop_assert_eq!(r.hashes_spent, batch_report.hashes_spent);
+        prop_assert_eq!(r.skipped_over_budget, batch_report.skipped_over_budget);
 
         // The sharded walk folds the same verdicts in the same order.
         let sharded = enumerate_links_windowed_with(
@@ -211,10 +307,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    // The whole §4.1 study through the streaming pipeline equals the
-    // batch study, for any worker count, capacity, and batch size —
-    // including the resolver running as a true second pipeline stage:
-    // its speculative prefetches never leak into the result.
+    // The whole §4.1 study, walked and tail-resolved as one campaign on
+    // the streaming pipeline, equals the batch study for any worker
+    // count, capacity, and batch size. The cadence never comes due, so
+    // the walk is one unbounded `run_items` call.
     #[test]
     fn streaming_study_is_bit_identical(
         links in 1_000u64..6_000,
@@ -233,25 +329,28 @@ proptest! {
             ..StudyConfig::default()
         };
         let batch = run_study(&config, study_seed);
-        let pipe = PipelineExecutor::new(workers, CAPACITIES[cap_ix])
-            .with_batch(BATCHES[batch_ix]);
-        let streamed = run_study_streaming(&config, study_seed, &pipe);
-        prop_assert_eq!(
-            streamed.result.enumeration.docs,
-            batch.enumeration.docs
-        );
-        prop_assert_eq!(streamed.result.links_per_token, batch.links_per_token);
-        prop_assert_eq!(streamed.result.hashes_spent, batch.hashes_spent);
-        prop_assert_eq!(streamed.result.top10_domains, batch.top10_domains);
-        prop_assert_eq!(streamed.result.tail_categories, batch.tail_categories);
-        prop_assert!(check_batching(&streamed.enum_stats, BATCHES[batch_ix]));
-        // The resolver really ran as the pipeline's second stage: its
-        // published stats are that stage's, it processed work, and it
-        // never saw more probes than stage 0 emitted (it can see fewer:
-        // once the sink stops the walk, in-flight stage-0 overshoot is
-        // dropped before reaching stage 1).
-        prop_assert_eq!(&streamed.resolver, &streamed.enum_stats.stages[1]);
-        prop_assert!(streamed.resolver.items > 0);
-        prop_assert!(streamed.resolver.items <= streamed.enum_stats.stages[0].items);
+        let backend = Backend::Streaming {
+            workers,
+            capacity: CAPACITIES[cap_ix],
+            batch: BATCHES[batch_ix],
+        };
+        let supervisor = Supervisor::new(CrashPolicy {
+            ckpt_every_items: u64::MAX,
+            ..CrashPolicy::default()
+        });
+        let dir = std::env::temp_dir().join(format!("minedig-pipe-study-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SnapshotStore::open(&dir).expect("open store");
+        let run = run_study_supervised(&config, study_seed, &store, "study", &supervisor, backend, false)
+            .expect("supervised study");
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = &run.result;
+        prop_assert_eq!(&s.enumeration.docs, &batch.enumeration.docs, "backend={:?}", backend);
+        prop_assert_eq!(s.enumeration.probed, batch.enumeration.probed);
+        prop_assert_eq!(&s.links_per_token, &batch.links_per_token);
+        prop_assert_eq!(s.hashes_spent, batch.hashes_spent);
+        prop_assert_eq!(&s.top10_domains, &batch.top10_domains);
+        prop_assert_eq!(&s.tail_categories, &batch.tail_categories);
+        prop_assert_eq!(run.report.checkpoints, 1, "only the final snapshot");
     }
 }
