@@ -25,6 +25,7 @@ use crate::ids::index_to_code;
 use crate::probe::{probe_with_retry, LinkProber, ProbeError, ProbePolicy};
 use crate::resolve::{resolve_step, ResolveReport};
 use crate::service::{ShortlinkService, VisitDoc};
+use minedig_primitives::aexec::AsyncExecutor;
 use minedig_primitives::ckpt::{Checkpointable, CkptError, SnapReader, SnapWriter, Snapshot};
 use minedig_primitives::par::{ParallelExecutor, ShardedTask};
 use minedig_primitives::pipeline::{PipelineExecutor, PipelineStage};
@@ -141,7 +142,7 @@ fn take_events(
 }
 
 // ---------------------------------------------------------------------
-// Probing one contiguous index range on any backend.
+// The probe, as a sharded task and as a pipeline stage.
 // ---------------------------------------------------------------------
 
 type Probed = (Result<Option<VisitDoc>, ProbeError>, u32);
@@ -191,68 +192,6 @@ impl<P: LinkProber + Sync> PipelineStage for RangeProbeStage<'_, P> {
 
     fn process(&self, index: u64, _scratch: &mut ()) -> Probed {
         probe_with_retry(self.prober, &index_to_code(index), self.policy)
-    }
-}
-
-/// Probes `[base, base + len)` (cut at `u64::MAX`) on `backend`,
-/// returning results in strict index order. Every backend issues every
-/// probe of the range; the caller's fold decides how many of them the
-/// sequential walk would have consumed.
-fn probe_range<P: LinkProber + Sync>(
-    prober: &P,
-    policy: &ProbePolicy,
-    base: u64,
-    len: u64,
-    backend: &Backend,
-) -> Vec<Probed> {
-    let range = base..base.saturating_add(len);
-    match *backend {
-        Backend::Sequential => range
-            .map(|i| probe_with_retry(prober, &index_to_code(i), policy))
-            .collect(),
-        Backend::Sharded(shards) => {
-            ParallelExecutor::new(shards)
-                .execute(&RangeProbeTask {
-                    prober,
-                    policy,
-                    base,
-                    len: (range.end - base) as usize,
-                })
-                .outcome
-        }
-        Backend::Streaming {
-            workers,
-            capacity,
-            batch,
-        } => {
-            let stage = RangeProbeStage { prober, policy };
-            PipelineExecutor::new(workers, capacity)
-                .with_batch(batch)
-                .run(range, &stage, Vec::new(), |acc: &mut Vec<Probed>, out| {
-                    acc.push(out);
-                    ControlFlow::Continue(())
-                })
-                .outcome
-        }
-        Backend::Async { concurrency } => {
-            minedig_primitives::aexec::AsyncExecutor::new(concurrency)
-                .run_ordered(
-                    range,
-                    |actx, index| {
-                        let code = index_to_code(index);
-                        async move {
-                            actx.sleep_ms(probe_latency_ms(&code)).await;
-                            probe_with_retry(prober, &code, policy)
-                        }
-                    },
-                    Vec::new(),
-                    |acc: &mut Vec<Probed>, out| {
-                        acc.push(out);
-                        ControlFlow::Continue(())
-                    },
-                )
-                .outcome
-        }
     }
 }
 
@@ -357,53 +296,45 @@ impl<'a, P: LinkProber + Sync> EnumCampaign<'a, P> {
         self
     }
 
-    /// Probes the next `batch` IDs and folds them in index order with
-    /// the sequential dead-run walk; probes past the stop are overshoot
-    /// and discarded, exactly like the windowed walk's final window.
-    fn fold_probes(&mut self, batch: u64, heartbeat: &AtomicU64) {
-        let results = probe_range(
-            self.prober,
-            self.policy,
-            self.enumeration.probed,
-            batch,
-            &self.backend,
-        );
+    /// Folds one probe, the next in index order, with the sequential
+    /// dead-run walk, breaking once the walk has stopped.
+    fn fold_one(&mut self, (result, retries): Probed, heartbeat: &AtomicU64) -> ControlFlow<()> {
         let e = &mut self.enumeration;
-        for (result, retries) in results {
-            if self.dead_run >= self.dead_run_limit {
-                break;
-            }
-            e.probed += 1;
-            e.probe_retries += u64::from(retries);
-            match result {
-                Ok(Some(doc)) => {
-                    self.dead_run = 0;
-                    let mut url = None;
-                    if let Some((service, budget_per_link)) = self.resolver {
-                        // In tail mode, only the first sighting of a
-                        // (token, requirement) pair under budget joins
-                        // the resolve set — the §4.1 unbiased filter.
-                        let wanted = !self.tail_only
-                            || (self.seen.insert((doc.token_id, doc.required_hashes))
-                                && doc.required_hashes < budget_per_link);
-                        if wanted {
-                            resolve_step(
-                                service,
-                                &mut self.resolve_report,
-                                &doc.code,
-                                budget_per_link,
-                            );
-                            // The URL joins the doc's event.
-                            url = self.resolve_report.resolved.pop().map(|(_, url)| url);
-                        }
+        e.probed += 1;
+        e.probe_retries += u64::from(retries);
+        match result {
+            Ok(Some(doc)) => {
+                self.dead_run = 0;
+                let mut url = None;
+                if let Some((service, budget_per_link)) = self.resolver {
+                    // In tail mode, only the first sighting of a
+                    // (token, requirement) pair under budget joins the
+                    // resolve set — the §4.1 unbiased filter.
+                    let wanted = !self.tail_only
+                        || (self.seen.insert((doc.token_id, doc.required_hashes))
+                            && doc.required_hashes < budget_per_link);
+                    if wanted {
+                        resolve_step(
+                            service,
+                            &mut self.resolve_report,
+                            &doc.code,
+                            budget_per_link,
+                        );
+                        // The URL joins the doc's event.
+                        url = self.resolve_report.resolved.pop().map(|(_, url)| url);
                     }
-                    self.stream.push(&doc, url.as_ref());
                 }
-                Ok(None) => self.dead_run += 1,
-                // Neutral: not evidence of a dead ID, not a live link.
-                Err(_) => e.failed_probes += 1,
+                self.stream.push(&doc, url.as_ref());
             }
-            heartbeat.fetch_add(1, Ordering::Relaxed);
+            Ok(None) => self.dead_run += 1,
+            // Neutral: not evidence of a dead ID, not a live link.
+            Err(_) => e.failed_probes += 1,
+        }
+        heartbeat.fetch_add(1, Ordering::Relaxed);
+        if self.is_done() {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
         }
     }
 }
@@ -486,15 +417,73 @@ impl<P: LinkProber + Sync> Campaign for EnumCampaign<'_, P> {
         self.dead_run >= self.dead_run_limit
     }
 
+    /// Probes from the cursor on `backend` while the fold runs in index
+    /// order beside it, stopping where the sequential walk stops or the
+    /// budget runs out. The streaming and async executors stop at the
+    /// fold's break and discard their overshoot; the sharded one probes
+    /// windows no larger than the dead-run limit, so it wastes at most
+    /// that many probes past the stop however large `budget` is.
     fn run_items(&mut self, budget: u64, heartbeat: &AtomicU64) {
-        // Probe in sub-batches no larger than the dead-run limit: the
-        // walk can stop within any batch, so a batch wastes at most that
-        // many probes past the stop however large `budget` is.
-        let mut left = budget;
-        while left > 0 && !self.is_done() {
-            let batch = left.min(self.dead_run_limit.max(1));
-            left -= batch;
-            self.fold_probes(batch, heartbeat);
+        if self.is_done() {
+            return;
+        }
+        let (prober, policy, backend) = (self.prober, self.policy, self.backend);
+        let base = self.enumeration.probed;
+        let range = base..base.saturating_add(budget);
+        let window = self.dead_run_limit;
+        let mut fold = |_: &mut (), probed: Probed| self.fold_one(probed, heartbeat);
+        match backend {
+            Backend::Sequential => {
+                for index in range {
+                    let probed = probe_with_retry(prober, &index_to_code(index), policy);
+                    if fold(&mut (), probed).is_break() {
+                        return;
+                    }
+                }
+            }
+            Backend::Sharded(shards) => {
+                let executor = ParallelExecutor::new(shards);
+                let mut start = range.start;
+                while start < range.end {
+                    let len = (range.end - start).min(window);
+                    let task = RangeProbeTask {
+                        prober,
+                        policy,
+                        base: start,
+                        len: len as usize,
+                    };
+                    start += len;
+                    for probed in executor.execute(&task).outcome {
+                        if fold(&mut (), probed).is_break() {
+                            return;
+                        }
+                    }
+                }
+            }
+            Backend::Streaming {
+                workers,
+                capacity,
+                batch,
+            } => {
+                let stage = RangeProbeStage { prober, policy };
+                PipelineExecutor::new(workers, capacity)
+                    .with_batch(batch)
+                    .run(range, &stage, (), fold);
+            }
+            Backend::Async { concurrency } => {
+                AsyncExecutor::new(concurrency).run_ordered(
+                    range,
+                    |actx, index| {
+                        let code = index_to_code(index);
+                        async move {
+                            actx.sleep_ms(probe_latency_ms(&code)).await;
+                            probe_with_retry(prober, &code, policy)
+                        }
+                    },
+                    (),
+                    fold,
+                );
+            }
         }
     }
 

@@ -19,10 +19,12 @@
 //! and timing lines differ.
 //!
 //! * `scan` runs the zgrab and Chrome scans as campaigns on the selected
-//!   backend, the Chrome pass with a fingerprint memo.
+//!   backend, the Chrome pass with a fingerprint memo. With no backend
+//!   selected it shards across `MINEDIG_SHARDS` shards, else one per
+//!   core.
 //! * `shortlink` shards its walk under the sharded backend. The
 //!   streaming and async backends drive the supervised walk only;
-//!   unsupervised, the walk then runs sequentially.
+//!   unsupervised, the walk then runs on one shard and says so.
 //! * `attribute` shards each poll sweep across the sharded or streaming
 //!   backend's worker count, or holds every endpoint's fetch in flight
 //!   at once on the async backend.
@@ -45,6 +47,7 @@
 use minedig::analysis::economics::{pool_revenue, ExchangeRate};
 use minedig::analysis::scenario::{run_scenario, run_scenario_supervised, ScenarioConfig};
 use minedig::core::campaign::{ChromeCampaign, ZgrabCampaign};
+use minedig::core::exec::ScanExecutor;
 use minedig::core::report::{
     async_poll_summary, checkpoint_summary, comparison_table, degradation_summary, fetch_stats,
     health_summary, CampaignHealth, Comparison,
@@ -85,7 +88,8 @@ fn main() {
                  minedig shortlink [links] [seed] [--resume]\n  \
                  minedig hashrate\n\n\
                  MINEDIG_ASYNC=1, MINEDIG_STREAM=1 or MINEDIG_SHARDS=N selects the\n\
-                 execution backend (default sequential; results are identical).\n\
+                 execution backend (default sequential, sharded for scan; results\n\
+                 are identical).\n\
                  MINEDIG_CKPT_DIR=<dir> checkpoints scan/attribute/shortlink campaigns\n\
                  every MINEDIG_CKPT_EVERY items (default 64), retaining the last\n\
                  MINEDIG_CKPT_KEEP snapshot generations (default 2); --resume\n\
@@ -170,7 +174,16 @@ fn cmd_scan(args: &[String], resume: bool) {
     // resumable with --resume, and with a fingerprint memo persisted
     // across runs. Otherwise each scan is the same campaign run in one
     // go. Results are bit-identical either way, on every backend.
-    let backend = Backend::from_env();
+    // Scans shard by default: `MINEDIG_SHARDS` shards, else one per
+    // core. Unlike a poll sweep, a scan gains from it (BENCH_parallel's
+    // zgrab row: 0.27 s on one shard, 0.18 s on two).
+    let backend = match Backend::from_env() {
+        Backend::Sequential => match ScanExecutor::from_env().shards() {
+            1 => Backend::Sequential,
+            n => Backend::Sharded(n),
+        },
+        selected => selected,
+    };
     let ckpt = ckpt_store().map(|store| (store, supervisor_from_env()));
     if let Some((store, supervisor)) = &ckpt {
         println!(
@@ -430,7 +443,8 @@ fn cmd_shortlink(args: &[String], resume: bool) {
     let links = arg_u64(args, 0, 50_000);
     let seed = arg_u64(args, 1, 2018);
     // The sharded backend fans the walk across its shards; the
-    // streaming and async backends drive the supervised walk only.
+    // streaming and async backends drive the supervised walk only, and
+    // the unsupervised run says so.
     let backend = Backend::from_env();
     let config = StudyConfig {
         model: ModelConfig {
@@ -463,9 +477,16 @@ fn cmd_shortlink(args: &[String], resume: bool) {
         print!("{}", checkpoint_summary("shortlink enum", &run.report));
         run.result
     } else {
+        let ignored = match backend {
+            Backend::Streaming { .. } | Backend::Async { .. } => format!(
+                "; the {} backend applies to the supervised walk only",
+                backend.label()
+            ),
+            _ => String::new(),
+        };
         println!(
             "generating {links} short links and enumerating the ID space \
-             ({}-shard probing)…",
+             ({}-shard probing{ignored})…",
             config.enum_shards
         );
         run_study(&config, seed)

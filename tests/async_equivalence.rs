@@ -68,15 +68,16 @@ fn db() -> &'static SignatureDb {
     DB.get_or_init(|| build_reference_db(0.7))
 }
 
-/// A mixed fault plan: half the operations fault, some permanently.
-/// Delay is excluded so a permanent fault means a *lost* fetch.
+/// A mixed fault plan: half the operations fault, some permanently, of
+/// every kind. Delay stays in: on the async backend it is the kind that
+/// stretches a fetch's virtual latency and so reorders completions,
+/// which these properties prove harmless.
 fn mixed_plan(offset: u64, permanent: f64) -> FaultPlan {
     FaultPlan::with_config(
         base_seed().wrapping_add(offset),
         FaultConfig {
             fault_prob: 0.5,
             permanent_prob: permanent,
-            kind_weights: [1.0, 0.0, 1.0, 1.0, 1.0],
             ..FaultConfig::default()
         },
     )
